@@ -29,6 +29,7 @@ gated against the baseline use ``process_time``, which co-tenant load
 cannot touch.
 """
 
+import functools
 import gc
 import json
 import os
@@ -370,14 +371,10 @@ class TestKernelBackendCompiled:
 
     @pytest.fixture(scope="class")
     def kernel_sets(self):
-        availability = kernel_backend.available_backends()
-        name = next(
-            (n for n in ("cext", "numba") if availability[n][0]), None
-        )
-        if name is None:
-            pytest.skip("no compiled backend available (cffi/cc and numba missing)")
+        if not kernel_backend.available_backends()["cext"][0]:
+            pytest.skip("no compiled backend available (cffi or a C compiler missing)")
         return (
-            kernel_backend._get_instance(name),
+            kernel_backend._get_instance("cext"),
             kernel_backend._get_instance("pure"),
         )
 
@@ -497,22 +494,21 @@ class TestKernelBackendCompiled:
 
     def test_backend_ema_fold(self, kernel_sets):
         compiled, pure = kernel_sets
-        scratch = np.zeros(2, dtype=np.float64)
         check_c, check_p = PELatencyWindow(), PELatencyWindow()
-        compiled.ema_fold(check_c, 21.5, 48, scratch)
+        compiled.ema_fold(check_c, 21.5, 48)
         pure.ema_fold(check_p, 21.5, 48)
         assert (check_c.value, check_c.total_latency, check_c.samples) == (
             check_p.value, check_p.total_latency, check_p.samples,
         )
 
-        def run(kernels, scratch_arg):
+        def run(kernels):
             window = PELatencyWindow()
             for _ in range(200):
-                kernels.ema_fold(window, 21.5, 48, scratch_arg)
+                kernels.ema_fold(window, 21.5, 48)
             return window
 
-        vec = _best_of(lambda: run(compiled, scratch))
-        ref = _best_of(lambda: run(pure, None))
+        vec = _best_of(lambda: run(compiled))
+        ref = _best_of(lambda: run(pure))
         _record_kernel(
             "backend_ema_fold", vec, ref,
             f"200 48-sample EMA latency folds, {compiled.name} vs pure",
@@ -532,9 +528,8 @@ class TestKernelBackendCompiled:
         grows with span length (one C call replaces a whole multi-line
         fetch/issue/writeback pipeline), and the reduced-scale stand-in
         truncates spans below the regime the core targets.  Recorded
-        only when a compiled backend exists (this class skips
-        otherwise): the interpreted fast path is a parity oracle, not a
-        speedup, so a pure-leg record would just trip the 1.0x floor.
+        only when the compiled backend exists (this class skips
+        otherwise): under pure the macro core does not exist.
         """
         compiled, _ = kernel_sets
         graph = load_dataset("lj", scale=1.0)
@@ -567,39 +562,50 @@ class TestKernelBackendCompiled:
 
 
 class TestKernelTaskTree:
-    """Task-tree scheduler kernels: compiled vs the interpreted mirrors.
+    """Task-tree scheduler kernels: C vs the Python model of record.
 
     The control-plane kernels (`tree_select`/`tree_fill`/`tree_complete`)
-    run over a real ``TaskTreeState`` built from the evaluation config.
-    The compiled side binds through the backend's struct binder (or the
-    closure fallback, exactly as ``TaskTree._bind_kernels`` does); the
-    reference side is the interpreted ``_loops`` body under the pure
-    kernel set.  Both sides start from one snapshot and the full array
-    state is asserted equal afterwards — a speedup over a divergent
-    computation would be meaningless.  ``macro_run_of_tasks`` measures
-    the same control plane end to end: a whole shogun cell with the
-    scheduler in compiled kernels (batch dispatch included) against the
-    interpreted object path, metrics asserted identical.
+    run over the ``TaskTreeState`` of a real shogun ``TaskTree`` built
+    from the evaluation config.  The compiled side calls the C ops bound
+    by the backend's struct binder; the reference side calls the same
+    decisions' object-path bodies on an identical tree —
+    ``TaskTree._select_py`` and ``TaskTree._fill_py``, the model of
+    record the kernels mirror — raw call against raw body.  Both sides
+    start from one snapshot and the full array state is asserted equal
+    afterwards — a speedup over a divergent computation would be
+    meaningless.  ``macro_run_of_tasks`` measures the same control plane
+    end to end: a whole shogun cell with the scheduler in compiled
+    kernels (batch dispatch included) against the object path, metrics
+    asserted identical.
     """
 
     @pytest.fixture(scope="class")
     def kernel_sets(self):
-        availability = kernel_backend.available_backends()
-        name = next(
-            (n for n in ("cext", "numba") if availability[n][0]), None
-        )
-        if name is None:
-            pytest.skip("no compiled backend available (cffi/cc and numba missing)")
+        if not kernel_backend.available_backends()["cext"][0]:
+            pytest.skip("no compiled backend available (cffi or a C compiler missing)")
         return (
-            kernel_backend._get_instance(name),
+            kernel_backend._get_instance("cext"),
             kernel_backend._get_instance("pure"),
         )
 
     @staticmethod
-    def _make_state(max_depth=5):
-        from repro.core.task_tree import TaskTreeState
+    def _make_tree():
+        """A fresh shogun ``TaskTree`` on the object path (5-clique
+        schedule: five depths, tokens on the four non-leaf ones)."""
+        from repro.graph import from_edges
+        from repro.sim.accelerator import Accelerator
 
-        return TaskTreeState(eval_config(), max_depth)
+        before = kernel_backend.active()
+        try:
+            accel = Accelerator(
+                from_edges([(0, 1)]),
+                benchmark_schedule("5cl"),
+                eval_config().replace(backend="pure", tree_kernels=False),
+                "shogun",
+            )
+        finally:
+            kernel_backend._install(before)
+        return accel.pes[0].policy.tree
 
     _ARRAYS = (
         "b_in_use", "b_tree", "b_quiesced", "b_active", "b_executing",
@@ -626,100 +632,90 @@ class TestKernelTaskTree:
             )
 
     @staticmethod
-    def _bind(kernels, state):
-        """Bind tree ops the way ``TaskTree._bind_kernels`` does."""
-        binder = getattr(kernels, "tree_bind", None)
-        if binder is not None:
-            return binder(state)
-        s = state
-        shared = (
-            s.b_depth, s.b_cap, s.b_in_use, s.b_tree, s.b_quiesced,
-            s.b_active, s.b_executing, s.ring, s.ring_head, s.ring_len,
-            s.e_vertex, s.e_child_index, s.e_token,
-            s.tok_free, s.tok_n, s.d_start, s.d_end, s.ctl,
-            s.nb, s.cap, s.max_depth, s.tokens_per_depth,
-        )
-        select, fill = kernels.tree_select, kernels.tree_fill
-
-        class _Ops:
-            pass
-
-        ops = _Ops()
-        ops.select = lambda conservative, k, out: select(
-            *shared, conservative, k, out
-        )
-        ops.fill = lambda b, tree_id, quiesced, vertices, first, count: fill(
-            *shared, b, tree_id, quiesced, vertices, first, count
-        )
-        return ops
-
-    @classmethod
-    def _fill_all(cls, state, ops, vertices):
+    def _fill_all(state, fill, vertices):
         """Admit a full candidate span into every bunch (depths >= 1)."""
         for b in range(int(state.d_start[1]), state.nb):
-            ops.fill(b, 1, 0, vertices, 0, int(state.b_cap[b]))
+            fill(b, 1, 0, vertices, 0, int(state.b_cap[b]))
 
     def test_tree_select(self, kernel_sets):
         """Batch selection over a fully loaded tree: sibling preference,
         round-robin, token acquisition, and — once each non-leaf depth's
-        pool drains — the fruitless token-validity stall scans."""
-        compiled, pure = kernel_sets
+        pool drains — the fruitless token-validity stall scans.  Both
+        sides make the same decisions in the same batches of 8, the
+        shape of ``TaskTree.select_batch``'s kernel and object paths."""
+        compiled, _ = kernel_sets
         vertices = np.arange(64, dtype=np.int64)
         out = np.zeros(256, dtype=np.int64)
 
-        def drain(state, ops):
+        def drain_c(ops):
+            while ops.select(0, 8, out):
+                pass
+
+        def drain_py(tree):
+            select_py = tree._select_py
             while True:
-                n = ops.select(0, 8, out)
+                n = 0
+                while n < 8 and select_py(False) is not None:
+                    n += 1
                 if n == 0:
                     return
 
         sides = {}
-        for name, kernels in (("compiled", compiled), ("pure", pure)):
-            state = self._make_state()
-            ops = self._bind(kernels, state)
-            self._fill_all(state, ops, vertices)
+        for name in ("compiled", "model"):
+            tree = self._make_tree()
+            state = tree.state
+            if name == "compiled":
+                ops = compiled.tree_bind(state)
+                fill, drain = ops.fill, functools.partial(drain_c, ops)
+            else:
+                fill, drain = tree._fill_py, functools.partial(drain_py, tree)
+            self._fill_all(state, fill, vertices)
             snap = self._snapshot(state)
-            drain(state, ops)
+            drain()
             sides[name] = state
 
-            def run(state=state, ops=ops, snap=snap):
+            def run(state=state, drain=drain, snap=snap):
                 for _ in range(40):
                     self._restore(state, snap)
-                    drain(state, ops)
+                    drain()
 
             sides[name + "_s"] = _best_of(run)
-        self._assert_state_equal(sides["compiled"], sides["pure"])
+        self._assert_state_equal(sides["compiled"], sides["model"])
         _record_kernel(
-            "tree_select", sides["compiled_s"], sides["pure_s"],
+            "tree_select", sides["compiled_s"], sides["model_s"],
             f"40 full-tree batch-select drains ({compiled.name} vs "
-            "interpreted loop), tokens exhausting per non-leaf depth",
+            "TaskTree._select_py), tokens exhausting per non-leaf depth",
         )
 
     def test_tree_fill(self, kernel_sets):
         """Batch child admission: every bunch filled from one contiguous
         candidate span per restore."""
-        compiled, pure = kernel_sets
+        compiled, _ = kernel_sets
         vertices = np.arange(64, dtype=np.int64)
 
         sides = {}
-        for name, kernels in (("compiled", compiled), ("pure", pure)):
-            state = self._make_state()
-            ops = self._bind(kernels, state)
+        for name in ("compiled", "model"):
+            tree = self._make_tree()
+            state = tree.state
+            fill = (
+                compiled.tree_bind(state).fill if name == "compiled"
+                else tree._fill_py
+            )
             snap = self._snapshot(state)
-            self._fill_all(state, ops, vertices)
+            self._fill_all(state, fill, vertices)
             sides[name] = state
 
-            def run(state=state, ops=ops, snap=snap):
+            def run(state=state, fill=fill, snap=snap):
                 for _ in range(100):
                     self._restore(state, snap)
-                    self._fill_all(state, ops, vertices)
+                    self._fill_all(state, fill, vertices)
 
             sides[name + "_s"] = _best_of(run)
-        self._assert_state_equal(sides["compiled"], sides["pure"])
+        self._assert_state_equal(sides["compiled"], sides["model"])
         _record_kernel(
-            "tree_fill", sides["compiled_s"], sides["pure_s"],
+            "tree_fill", sides["compiled_s"], sides["model_s"],
             f"100 whole-tree bunch admissions ({compiled.name} vs "
-            "interpreted loop), 8-entry spans",
+            "TaskTree._fill_py), 8-entry spans",
         )
 
     def test_macro_run_of_tasks(self, kernel_sets):
@@ -1066,7 +1062,7 @@ def test_zz_emit_and_gate(scale):
             )
     # When a compiled backend ran, it must earn its keep: at least three
     # of the backend_* kernels at >= 2x over pure (the backend layer's
-    # acceptance bar — anything less means the C/numba path is not worth
+    # acceptance bar — anything less means the C path is not worth
     # its complexity on this machine).
     backend_records = {
         name: record
@@ -1099,7 +1095,7 @@ def test_zz_emit_and_gate(scale):
     # The compiled control plane's acceptance bars (the SoA task tree):
     # the end-to-end gate cell must hold >= 1.3x compiled-vs-per-event
     # (the stricter 2.0x clause above enforces it), at least two of the
-    # scheduler kernels must reach 2x over the interpreted loops, and
+    # scheduler kernels must reach 2x over the model of record, and
     # the Shogun gate cell must not regress past the frozen PR 9 record
     # — the rebuilt scheduler is that cell's control plane, so slowing
     # it down would mean the SoA rework cost more than the kernels earn

@@ -46,6 +46,7 @@ from .graph import compute_stats, dataset_codes, get_spec, load_dataset, load_ed
 from .mining import mine
 from .patterns import BENCHMARK_CODES, benchmark_schedule
 from .sim import POLICIES, simulate
+from .sim.backend import BACKEND_NAMES
 
 #: Experiment names accepted by ``repro experiment``.
 EXPERIMENTS = (
@@ -403,7 +404,7 @@ def _add_scale_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend", default=None, choices=("auto", "pure", "numba", "cext"),
+        "--backend", default=None, choices=BACKEND_NAMES,
         help="kernel backend for the simulator hot path "
              "(default: REPRO_BACKEND env var, then auto; see docs/performance.md)",
     )

@@ -37,7 +37,11 @@ arrays mirroring the :class:`SimTask` scheduling fields (vertex,
 child index, held token).  That is the same flat layout the hardware
 task SPM has — and it is what lets the hot scheduler decisions
 (``tree_select`` / ``tree_fill`` / ``tree_complete``) run as compiled
-backend kernels over raw ``int64`` buffers.
+backend kernels over raw ``int64`` buffers.  The object path
+(:meth:`TaskTree._select_py`, :meth:`TaskTree._fill_py` and the
+:meth:`TaskTree.on_complete` transition) is the model of record: the
+pure backend always runs it, and the C kernels mirror it decision for
+decision.
 
 Python :class:`SimTask` objects are materialized *lazily*: a Ready entry
 is just an array row until the scheduler picks it.  Executing and
@@ -283,7 +287,7 @@ class TaskTree:
         }
         self.op_escapes = {
             "instrumented": 0,   # trace/invariant hooks pin the object path
-            "pinned_off": 0,     # config.tree_kernels=False (or no kernels)
+            "pinned_off": 0,     # tree_kernels=False, or the pure backend
             "list_span": 0,      # children not a contiguous int64 span
             "cold_path": 0,      # recycle propagation / partition intake
         }
@@ -300,59 +304,16 @@ class TaskTree:
     # kernel binding
     # ------------------------------------------------------------------
     def _bind_kernels(self, config) -> None:
-        """Bind the backend's tree kernels over this tree's arrays.
+        """Bind the backend's compiled tree kernels over this tree's arrays.
 
-        ``config.tree_kernels`` mirrors ``macro_step``: ``None`` (auto)
-        uses the kernels exactly when the active backend is compiled,
-        ``True`` forces them (including the interpreted reference loops
-        under pure — the differential-testing configuration), ``False``
-        pins the object path.
+        ``config.tree_kernels=True`` uses them wherever the active
+        backend is compiled (``cext``); under ``pure``, or with
+        ``tree_kernels=False``, every decision runs on the object path
+        (the model of record).
         """
-        mode = getattr(config, "tree_kernels", None)
-        if mode is False:
-            return
-        memory = getattr(self.pe, "memory", None)
-        kernels = getattr(memory, "_kernels", None)
-        if kernels is None:
-            return
-        binder = getattr(kernels, "tree_bind", None)
-        if binder is not None and (mode is True or kernels.compiled):
+        binder = self.pe.memory._kernels.tree_bind
+        if config.tree_kernels and binder is not None:
             self._kernel_ops = binder(self.state)
-            return
-        select = getattr(kernels, "tree_select", None)
-        if select is None or not (mode is True or kernels.compiled):
-            return
-        s = self.state
-        shared = (
-            s.b_depth, s.b_cap, s.b_in_use, s.b_tree, s.b_quiesced,
-            s.b_active, s.b_executing, s.ring, s.ring_head, s.ring_len,
-            s.e_vertex, s.e_child_index, s.e_token,
-            s.tok_free, s.tok_n, s.d_start, s.d_end, s.ctl,
-            s.nb, s.cap, s.max_depth, s.tokens_per_depth,
-        )
-        fill = kernels.tree_fill
-        complete = kernels.tree_complete
-
-        class _Ops:
-            __slots__ = ("select", "fill", "complete")
-
-        ops = _Ops()
-        ops.select = lambda conservative, k, out: select(
-            *shared, conservative, k, out
-        )
-        ops.fill = lambda b, tree_id, quiesced, vertices, first, count: fill(
-            *shared, b, tree_id, quiesced, vertices, first, count
-        )
-        ops.complete = (
-            lambda slot, b, has_children, children, first, navail,
-            parent_unexplored, ext_vertex, ext_position, tree_quiesced, out:
-            complete(
-                *shared, slot, b, has_children, children, first, navail,
-                parent_unexplored, ext_vertex, ext_position, tree_quiesced,
-                out,
-            )
-        )
-        self._kernel_ops = ops
 
     def _kernels_allowed(self) -> bool:
         """Whether the compiled path may run *right now*.
@@ -556,7 +517,8 @@ class TaskTree:
         return tasks
 
     def _select_py(self, conservative: bool) -> Optional[SimTask]:
-        """Interpreted mirror of the ``tree_select`` kernel."""
+        """Model of record for one selection (the ``tree_select`` kernel
+        mirrors it)."""
         s = self.state
         ctl = s.ctl
         ring_len = s.ring_len
@@ -799,7 +761,7 @@ class TaskTree:
         Children are *not* materialized: each becomes one row of the
         per-entry arrays plus a ready-ring slot, built from the parent's
         contiguous candidate span in one pass (compiled ``tree_fill``
-        when bound; this mirror otherwise).
+        when bound; :meth:`_fill_py` otherwise).
         """
         s = self.state
         vertices = parent.children_vertices
@@ -832,25 +794,31 @@ class TaskTree:
             else:
                 self.op_escapes["list_span"] += 1
             self.op_calls["fill_object"] += 1
-            s.b_in_use[b] = 1
-            s.b_tree[b] = tree
-            s.b_quiesced[b] = quiesced
-            base = b * s.cap
-            e_vertex = s.e_vertex
-            e_child_index = s.e_child_index
-            e_token = s.e_token
-            ring = s.ring
-            for i in range(count):
-                slot = base + i
-                e_vertex[slot] = vertices[first + i]
-                e_child_index[slot] = first + i
-                e_token[slot] = -1
-                ring[slot] = slot
-            s.ring_head[b] = 0
-            s.ring_len[b] = count
-            s.ctl[CTL_READY] += count
-            s.b_active[b] = count
+            self._fill_py(b, tree, quiesced, vertices, first, count)
         parent.next_child = first + count
+
+    def _fill_py(self, b, tree, quiesced, vertices, first, count) -> None:
+        """Model of record for one bunch admission (the ``tree_fill``
+        kernel mirrors it, argument for argument)."""
+        s = self.state
+        s.b_in_use[b] = 1
+        s.b_tree[b] = tree
+        s.b_quiesced[b] = quiesced
+        base = b * s.cap
+        e_vertex = s.e_vertex
+        e_child_index = s.e_child_index
+        e_token = s.e_token
+        ring = s.ring
+        for i in range(count):
+            slot = base + i
+            e_vertex[slot] = vertices[first + i]
+            e_child_index[slot] = first + i
+            e_token[slot] = -1
+            ring[slot] = slot
+        s.ring_head[b] = 0
+        s.ring_len[b] = count
+        s.ctl[CTL_READY] += count
+        s.b_active[b] = count
 
     def _extend_or_idle(self, task: SimTask, b: int) -> None:
         """Task extending / entry recycling (§3.2.2)."""

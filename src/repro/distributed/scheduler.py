@@ -333,10 +333,21 @@ class DistributedScheduler:
             if spawn:
                 if not addresses:
                     raise ValueError("--spawn-workers needs a socket address")
+                # A fault plan goes to worker 1, which starts alone and
+                # takes the first cell before the clean workers start:
+                # otherwise they can drain a small sweep before it
+                # registers and its fault never fires.
+                first = 1 if spawn_faults else spawn
                 procs = spawn_local_workers(
-                    addresses[0], spawn, slots=spawn_slots,
+                    addresses[0], first, slots=spawn_slots,
                     faults_for_first=spawn_faults,
                 )
+                if spawn > first:
+                    await self._first_pull(procs[0])
+                    procs += spawn_local_workers(
+                        addresses[0], spawn - first, slots=spawn_slots,
+                        start=first + 1,
+                    )
                 self._report(f"spawned {len(procs)} local worker(s)")
             if not self.board.done:
                 monitor = asyncio.get_running_loop().create_task(self._monitor())
@@ -352,6 +363,17 @@ class DistributedScheduler:
                     await listener.close()
             terminate_workers(procs)
         return dict(self.results), dict(self.board.failures)
+
+    async def _first_pull(self, proc) -> None:
+        """Wait until the only worker so far has pulled (or cannot)."""
+        deadline = self._clock() + self.register_timeout
+        while (
+            not self.board.stats["pulls"]
+            and not self.board.done
+            and proc.poll() is None
+            and self._clock() < deadline
+        ):
+            await asyncio.sleep(0.01)
 
     async def _let_workers_drain(self, procs) -> None:
         """Give workers a moment to pull their drain replies and exit.

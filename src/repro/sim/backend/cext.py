@@ -1,10 +1,13 @@
 """C-extension kernel backend (cffi, no setuptools).
 
-The kernels are mirror images of :mod:`._loops`, written in C below and
-compiled on demand with the system C compiler into a shared object
-cached under ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``)
-keyed by a hash of the source and compiler, so every process after the
-first just loads the cached ``.so``.  Neither path needs
+The kernels are C mirrors of the Python models of record — the set and
+cache kernels of :mod:`.pure`, the per-event booking of
+``PE._book_task`` and the ``TaskTree`` object-path scheduler decisions.
+They are written in C below and compiled on demand with the system C
+compiler into a shared object cached under ``$REPRO_KERNEL_CACHE``
+(default ``~/.cache/repro/kernels``) keyed by a hash of the source and
+compiler, so every process after the first just loads the cached
+``.so``.  Neither path needs
 setuptools/distutils — the compiler is driven directly:
 
 * **API mode** (preferred) — cffi emits the CPython extension source
@@ -138,9 +141,10 @@ void repro_ema_fold(double *state, double alpha, double latency, int64_t n)
 
 /* Macro-step engine core: one task booked through every pipeline stage.
  *
- * C mirror of task_fastpath_loop in _loops.py — same statements, same
+ * C mirror of the Python per-event booking (PE._book_task: decode,
+ * dispatch, fetches, issue, IU service, writeback, spawn) — the same
  * double expressions in the same order, so the booked state is
- * bit-identical to the Python per-event path.  One struct per PE holds
+ * bit-identical to the per-event path.  One struct per PE holds
  * pre-offset pointers into the owning objects' numpy storage plus the
  * config scalars, so a call marshals only the per-task scalars.
  *
@@ -498,13 +502,13 @@ int64_t repro_task_fastpath(repro_core_t *c, double now, int64_t is_leaf,
     return 0;
 }
 
-/* Task-tree scheduler kernels: C mirrors of tree_select_loop /
- * tree_fill_loop / tree_complete_loop in _loops.py, statement for
- * statement.  One struct per task tree holds the pinned pointers into
- * the tree's struct-of-arrays numpy state plus its layout scalars, so
- * a scheduler call marshals only the per-call scalars.  The ctl word
- * indices and DONE_* return codes are the module constants of
- * repro.core.task_tree.
+/* Task-tree scheduler kernels: C mirrors of the TaskTree object path
+ * (TaskTree._select_py, TaskTree._fill_py and the on_complete
+ * transition in repro.core.task_tree), decision for decision.  One
+ * struct per task tree holds the pinned pointers into the tree's
+ * struct-of-arrays numpy state plus its layout scalars, so a scheduler
+ * call marshals only the per-call scalars.  The ctl word indices and
+ * DONE_* return codes are the module constants of repro.core.task_tree.
  */
 typedef struct {
     int64_t *b_depth;
@@ -929,9 +933,9 @@ def _load_api_module(name: str, so_path: Path):
 class _CLib:
     """Array-level adapter over the dlopened C library.
 
-    Presents the :mod:`._loops` signatures (numpy arrays in, counts
-    out) so the shared glue in :mod:`.compiled` works unchanged.  The
-    arrays are already C-contiguous ``int64``/``float64`` — the glue
+    Presents array-level loop signatures (numpy arrays in, counts out)
+    that the glue in :mod:`.compiled` adapts to the kernel contracts.
+    The arrays are already C-contiguous ``int64``/``float64`` — the glue
     normalizes operands — so ``from_buffer`` is a zero-copy cast.
 
     The adapter exists to make each call as thin as possible: a kernel
@@ -1058,14 +1062,6 @@ class _CLib:
         self._lib.repro_ema_fold(state, window.alpha, latency, n)
         window.value = state[0]
         window.total_latency = state[1]
-
-    def ema_fold_loop(self, state, alpha, latency, n):
-        self._lib.repro_ema_fold(
-            self._ffi.from_buffer("double *", state, require_writable=True),
-            alpha,
-            latency,
-            n,
-        )
 
     def macro_bind(self, accel, spans, result):
         """Per-PE macro-step bindings: ``repro_core_t`` structs with
@@ -1260,4 +1256,4 @@ class _CLib:
 
 def make_kernels():
     """Build the C-extension kernel set (raises :class:`BackendUnavailable`)."""
-    return make_kernel_set("cext", _CLib())
+    return make_kernel_set(_CLib())

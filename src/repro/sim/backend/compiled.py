@@ -1,17 +1,17 @@
-"""Shared glue for compiled kernel backends (numba and the C extension).
+"""The kernel-set type and the object-level glue of the C backend.
 
-Both compiled backends expose the same low-level surface — loop kernels
-taking flat ``int64``/``float64`` numpy buffers (``intersect_loop``,
-``subtract_loop``, ``resident_stamp_loop``, ``ema_fold_loop``, the
-signatures of :mod:`._loops`) — so the object-level adaptation lives
-here once: operand normalization, output allocation, and the
-``Cache``/``PELatencyWindow`` state handshakes.
+The C library (:mod:`.cext`) exposes array-level loop kernels taking
+flat ``int64``/``float64`` numpy buffers (``intersect_loop``,
+``subtract_loop``, ``intersect_multi_loop``, ``resident_stamp_loop``,
+``ema_fold_window``); the adaptation to the kernel contracts of
+:mod:`.pure` lives here: operand normalization, output allocation, and
+the ``Cache``/``PELatencyWindow`` state handshakes.
 
 The adapters preserve the pure backend's exact observable behavior:
 identical result arrays (sorted unique ``int64``; the shared ``EMPTY``
 singleton for empty results), identical cache state (stamps in address
-order, consecutive ticks), and bit-identical floats (the loop bodies use
-the same double expressions in the same order — see :mod:`._loops`).
+order, consecutive ticks), and bit-identical floats (the C loops use
+the same double expressions in the same order as :mod:`.pure`).
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ class KernelSet:
 
     def __init__(self, name, compiled, intersect, subtract, intersect_multi,
                  span_resident_stamp, ema_fold,
-                 task_fastpath=None, macro_bind=None,
-                 tree_select=None, tree_fill=None, tree_complete=None,
-                 tree_bind=None):
+                 macro_bind=None, tree_bind=None):
         self.name = name
         self.compiled = compiled
         self.intersect = intersect
@@ -54,25 +52,14 @@ class KernelSet:
         self.intersect_multi = intersect_multi
         self.span_resident_stamp = span_resident_stamp
         self.ema_fold = ema_fold
-        #: Macro-step fast-path loop with the :func:`._loops
-        #: .task_fastpath_loop` signature (interpreted for pure, jitted
-        #: for numba); ``None`` when the backend binds at a lower level.
-        self.task_fastpath = task_fastpath
-        #: Backend-native per-PE binder ``(accel, spans, result) ->
-        #: [book, ...]`` (the C extension pre-marshals pointers into
-        #: per-PE structs); ``None`` to bind ``task_fastpath`` through
-        #: the generic numpy-view binder in :mod:`.macro`.
+        #: Per-PE macro-step binder ``(accel, spans, result) ->
+        #: [book, ...]`` (:meth:`.cext._CLib.macro_bind`); ``None`` for
+        #: the pure backend, which books through ``PE._book_task``.
         self.macro_bind = macro_bind
-        #: Task-tree scheduler kernels with the ``tree_*_loop``
-        #: signatures of :mod:`._loops` (``TaskTree._bind_kernels``
-        #: closes them over one tree's struct-of-arrays state).
-        self.tree_select = tree_select
-        self.tree_fill = tree_fill
-        self.tree_complete = tree_complete
-        #: Backend-native tree binder ``(state) -> ops`` returning an
-        #: object with ``select``/``fill``/``complete`` (the C extension
-        #: pre-marshals the tree's array pointers into one struct);
-        #: ``None`` to close the loop kernels over numpy views.
+        #: Per-tree scheduler binder ``(state) -> ops`` returning an
+        #: object with ``select``/``fill``/``complete``
+        #: (:meth:`.cext._CLib.tree_bind`); ``None`` for the pure
+        #: backend, which decides through the ``TaskTree`` object path.
         self.tree_bind = tree_bind
 
     #: Kernel attributes eligible for per-kernel instrumentation.
@@ -88,24 +75,23 @@ class KernelSet:
         return f"KernelSet({self.name!r}, compiled={self.compiled})"
 
 
-def make_kernel_set(name: str, lib) -> KernelSet:
-    """Build a :class:`KernelSet` over array-level loop kernels ``lib``."""
+def make_kernel_set(lib) -> KernelSet:
+    """Build the ``cext`` :class:`KernelSet` over the C adapter ``lib``."""
 
     lib_intersect = lib.intersect_loop
     lib_subtract = lib.subtract_loop
     lib_multi = lib.intersect_multi_loop
     lib_resident = lib.resident_stamp_loop
-    lib_ema = lib.ema_fold_loop
-    lib_ema_window = getattr(lib, "ema_fold_window", None)
+    lib_ema_window = lib.ema_fold_window
     empty = np.empty
 
     # Reusable result buffers: the loop kernels write into these and the
     # adapters copy the live prefix out, so per-call output allocation —
-    # and, for the C backend, per-call marshalling of the output pointer
-    # (the adapter caches pointers by object identity) — stays off the
-    # hot path.  Kernel calls never reenter Python, so reuse is safe in
-    # the single-threaded simulator.  A result can be at most as long as
-    # the smallest operand, so sizing to that operand always suffices.
+    # and per-call marshalling of the output pointer (the adapter caches
+    # pointers by object identity) — stays off the hot path.  Kernel
+    # calls never reenter Python, so reuse is safe in the
+    # single-threaded simulator.  A result can be at most as long as the
+    # smallest operand, so sizing to that operand always suffices.
     buffers = {
         "out": empty(256, dtype=np.int64),
         "scratch": empty(256, dtype=np.int64),
@@ -161,16 +147,10 @@ def make_kernel_set(name: str, lib) -> KernelSet:
             return True
         return False
 
-    def ema_fold(window, latency, n, scratch=None):
-        if n >= 8 and lib_ema_window is not None:
+    def ema_fold(window, latency, n):
+        if n >= 8:
             # Adapter-owned state handshake (persistent C-side buffer).
             lib_ema_window(window, latency, n)
-        elif n >= 8 and scratch is not None:
-            scratch[0] = window.value
-            scratch[1] = window.total_latency
-            lib_ema(scratch, window.alpha, latency, n)
-            window.value = float(scratch[0])
-            window.total_latency = float(scratch[1])
         else:
             # Tiny folds: the call/handshake overhead outweighs the loop.
             alpha = window.alpha
@@ -184,12 +164,8 @@ def make_kernel_set(name: str, lib) -> KernelSet:
         window.samples += n
 
     return KernelSet(
-        name, True, intersect, subtract, intersect_multi,
+        "cext", True, intersect, subtract, intersect_multi,
         span_resident_stamp, ema_fold,
-        task_fastpath=getattr(lib, "task_fastpath_loop", None),
-        macro_bind=getattr(lib, "macro_bind", None),
-        tree_select=getattr(lib, "tree_select_loop", None),
-        tree_fill=getattr(lib, "tree_fill_loop", None),
-        tree_complete=getattr(lib, "tree_complete_loop", None),
-        tree_bind=getattr(lib, "tree_bind", None),
+        macro_bind=lib.macro_bind,
+        tree_bind=lib.tree_bind,
     )

@@ -7,7 +7,7 @@ move to C.  What moves to C instead is the work **between** the two
 events a task costs: under a compiled backend the macro-step core
 (:mod:`repro.sim.backend.macro`) drains a task's whole booking — the
 dozen stages the start event used to walk through Python — in one
-``task_fastpath`` call, escaping back to the per-event path only when
+``repro_task_fastpath`` call, escaping back to the per-event path only when
 a precondition fails.  This loop then sees exactly two events per task
 either way; the macro core changes what the start event *does*, never
 what this loop observes.  What the extraction buys:

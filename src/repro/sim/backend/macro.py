@@ -3,10 +3,11 @@
 The per-event path books a task stage by stage through Python
 (``PE._book_task``: decode → dispatch → vertex fetch → span fetches →
 issue → IU service → writeback → spawn).  The macro-step core collapses
-all of it into **one** call into the active backend's fast-path loop
-(:func:`._loops.task_fastpath_loop`, its numba jit, or the C mirror in
-:mod:`.cext`), so the simulator returns to Python once per task instead
-of once per stage.
+all of it into **one** call into the C mirror of that booking
+(``repro_task_fastpath`` in :mod:`.cext`), so the simulator returns to
+Python once per task instead of once per stage.  ``PE._book_task``
+stays the model of record: the pure backend always books through it,
+and every escape replays through it.
 
 Escape protocol
 ---------------
@@ -42,7 +43,7 @@ committed decode through IU service and Python finishes with
 ``PE._book_tail``: writeback installs, spills and spawn).
 
 Every accounted metric is bit-identical to the per-event path by
-construction: the loop mirrors the Python float expressions statement
+construction: the C core mirrors the Python float expressions statement
 for statement, and the parity suite (``tests/test_macro_step.py``) plus
 the golden registry enforce it.
 """
@@ -81,9 +82,8 @@ class MacroCore:
         "max_depth", "spm_share", "line_bytes", "max_spans",
     )
 
-    def __init__(self, accel, books: List[Callable]) -> None:
+    def __init__(self, accel, binder: Callable) -> None:
         self.accel = accel
-        self.books = books
         self.counters: Dict[str, int] = {k: 0 for k in COUNTER_KEYS}
         #: Test-only escape injector: ``callable(pe, task) -> bool``;
         #: True forces this task down the per-event path (counted as
@@ -92,6 +92,9 @@ class MacroCore:
         self.fault_hook = None
         self.spans = np.zeros(SPANS_CAPACITY, dtype=np.int64)
         self.result = np.zeros(2, dtype=np.float64)
+        #: One booking callable per PE row, bound over this core's
+        #: span/result buffers by the backend's ``macro_bind``.
+        self.books: List[Callable] = binder(accel, self.spans, self.result)
         # Uniform across PEs (one config, one schedule); hoisted here so
         # the per-task hot path reads them off this core's slots instead
         # of chasing pe attributes.
@@ -195,115 +198,19 @@ class MacroCore:
         }
 
 
-# ----------------------------------------------------------------------
-def _bind_loop(accel, spans, result, loop) -> List[Callable]:
-    """Generic per-PE binder over numpy views for a python-level loop.
-
-    Builds one closure per PE with every array view and config scalar
-    pre-bound, so a fast-path call marshals only the 10 per-task
-    scalars.  Used for the interpreted reference loop (pure backend)
-    and the numba jit; the C extension binds at a lower level
-    (:func:`.cext._CLib.macro_bind`).
-    """
-    memory = accel.memory
-    config = accel.config
-    state = accel.pe_state
-    l2 = memory.l2
-    books: List[Callable] = []
-    for pe in accel.pes:
-        row = pe._row
-        l1 = memory.l1s[pe.pe_id]
-        window = memory.l1_windows[pe.pe_id]
-
-        def book(
-            now, is_leaf, vertex_line, inter_first, inter_last,
-            out_first, out_last, out_count, segments, nspans,
-            # pre-bound per-PE state and config scalars:
-            _loop=loop,
-            _spans=spans,
-            _result=result,
-            _decode=state.decode_free[row:row + 1],
-            _dispatch=state.dispatch_free[row:row + 1],
-            _issue=state.issue_free[row:row + 1],
-            _spawn=state.spawn_free[row:row + 1],
-            _l1_tags=l1._tags,
-            _l1_stamps=l1._stamps,
-            _l1_meta=l1._meta,
-            _l1_sets=l1.num_sets,
-            _l1_assoc=l1.assoc,
-            _l1_window=window._state,
-            _l2_tags=l2._tags,
-            _l2_stamps=l2._stamps,
-            _l2_meta=l2._meta,
-            _l2_sets=l2.num_sets,
-            _l2_assoc=l2.assoc,
-            _bank_free=memory._l2_bank_free,
-            _mem_stats=memory._stats,
-            _iu_free=pe.iu_pool._server_free,
-            _iu_acc=pe.iu_pool._acc,
-            _unit_interval=pe._unit_interval,
-            _decode_cycles=float(config.decode_cycles),
-            _dispatch_cycles=float(config.dispatch_cycles),
-            _post_spawn=float(pe._post_spawn_cycles),
-            _leaf_cycles=float(config.leaf_cycles),
-            _l1_hit=memory._l1_hit_cycles_f,
-            _l2_hit=float(config.l2_hit_cycles),
-            _l2_service=float(config.l2_service_cycles),
-            _hop=float(memory._hop_cycles),
-            _alpha=window.alpha,
-            _segment_cycles=float(config.segment_cycles),
-            _num_dividers=float(config.num_dividers),
-            _fetch_ports=int(config.fetch_ports),
-            _stream_ok=1 if memory._l2_stream_ok else 0,
-        ):
-            return _loop(
-                now, is_leaf, vertex_line, inter_first, inter_last,
-                out_first, out_last, out_count, segments, _spans, nspans,
-                _result,
-                _decode, _dispatch, _issue, _spawn,
-                _l1_tags, _l1_stamps, _l1_meta, _l1_sets, _l1_assoc,
-                _l1_window,
-                _l2_tags, _l2_stamps, _l2_meta, _l2_sets, _l2_assoc,
-                _bank_free, _mem_stats, _iu_free, _iu_acc,
-                _unit_interval, _decode_cycles, _dispatch_cycles,
-                _post_spawn, _leaf_cycles, _l1_hit, _l2_hit, _l2_service,
-                _hop, _alpha, _segment_cycles, _num_dividers,
-                _fetch_ports, _stream_ok,
-            )
-
-        books.append(book)
-    return books
-
-
 def build_macro(accel) -> Optional[MacroCore]:
     """Bind the macro-step core to ``accel`` (or ``None`` when off).
 
-    Resolution of ``config.macro_step``: ``False`` pins the per-event
-    path; ``None`` (auto) enables the core exactly when the active
-    kernel backend is compiled (the interpreted loop is slower than
-    per-event booking, so auto never picks it); ``True`` forces it even
-    under pure — the parity suite uses that to differential-test the
-    reference loop.  On success every PE's ``_macro`` is pointed at the
+    ``config.macro_step=True`` enables the core wherever the active
+    kernel backend is compiled (``cext``); under ``pure``, or with
+    ``macro_step=False``, tasks book through the per-event model of
+    record.  On success every PE's ``_macro`` is pointed at the
     returned core.
     """
-    setting = getattr(accel.config, "macro_step", None)
-    if setting is False:
+    binder = accel.memory._kernels.macro_bind
+    if not accel.config.macro_step or binder is None:
         return None
-    kernels = accel.memory._kernels
-    if setting is None and not kernels.compiled:
-        return None
-    spans = np.zeros(SPANS_CAPACITY, dtype=np.int64)
-    result = np.zeros(2, dtype=np.float64)
-    binder = kernels.macro_bind
-    if binder is not None:
-        books = binder(accel, spans, result)
-    elif kernels.task_fastpath is not None:
-        books = _bind_loop(accel, spans, result, kernels.task_fastpath)
-    else:  # pragma: no cover - every shipped backend has one of the two
-        return None
-    core = MacroCore(accel, books)
-    core.spans = spans
-    core.result = result
+    core = MacroCore(accel, binder)
     for pe in accel.pes:
         pe._macro = core
     return core

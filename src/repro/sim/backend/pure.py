@@ -3,8 +3,8 @@
 These are the exact kernels the simulator ran before the backend layer
 existed: the searchsorted set operations from ``mining.setops`` and the
 tiered span-residency / EMA folds lifted verbatim out of
-``sim/memory.py``.  Every other backend is differential-tested against
-this one (``tests/test_backend_parity.py``), the same way ``Cache`` is
+``sim/memory.py``.  The C backend is differential-tested against this
+one (``tests/test_backend_parity.py``), the same way ``Cache`` is
 tested against ``ReferenceCache``.
 
 Kernel contracts
@@ -27,10 +27,8 @@ Kernel contracts
     return False.  Hit/miss *statistics* are the caller's job — the
     writeback path refreshes LRU without counting hits.
 
-``ema_fold(window, latency, n, scratch)``
+``ema_fold(window, latency, n)``
     Fold ``n`` identical latencies into a ``PELatencyWindow``.
-    ``scratch`` is a reusable 2-element float64 buffer for compiled
-    backends; the pure loop ignores it.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ def span_resident_stamp(cache, first_line: int, last_line: int) -> bool:
     return True
 
 
-def ema_fold(window, latency: float, n: int, scratch=None) -> None:
+def ema_fold(window, latency: float, n: int) -> None:
     """Per-access EMA folds of ``n`` identical latencies (exact loop)."""
     alpha = window.alpha
     value = window.value

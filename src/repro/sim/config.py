@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
+from .backend import BACKEND_NAMES
 
 
 @dataclass(frozen=True)
@@ -96,30 +97,27 @@ class SimConfig:
 
     # --- misc ---------------------------------------------------------------
     max_cycles: int = 2_000_000_000     # runaway guard
-    #: Kernel backend for the simulator hot path: "auto", "pure",
-    #: "numba" or "cext".  None defers to ``REPRO_BACKEND`` / auto
-    #: selection; an unavailable backend falls back gracefully (see
+    #: Kernel backend for the simulator hot path: "auto", "pure" or
+    #: "cext".  None defers to ``REPRO_BACKEND`` / auto selection; an
+    #: unavailable backend falls back gracefully (see
     #: ``repro.sim.backend``).  All backends produce byte-identical
     #: metrics, so this is a speed knob, not a model knob.
     backend: Optional[str] = None
     #: Macro-step engine core: book a whole task pipeline in one
     #: compiled call, escaping to the per-event Python path on cache
-    #: misses, multi-round tasks and instrumentation.  None = auto (on
-    #: exactly when the active kernel backend is compiled); True forces
-    #: it on even under the pure backend (the interpreted reference
-    #: loop — slower, used by the parity suite); False pins the
-    #: per-event path.  All settings produce byte-identical metrics, so
-    #: like ``backend`` this is a speed knob, not a model knob.
-    macro_step: Optional[bool] = None
+    #: misses, multi-round tasks and instrumentation.  True uses the
+    #: compiled core wherever the active backend is compiled; False
+    #: pins the per-event model of record.  Both settings produce
+    #: byte-identical metrics, so like ``backend`` this is a speed
+    #: knob, not a model knob.
+    macro_step: bool = True
     #: Task-tree scheduler kernels: run the hot tree decisions
     #: (``tree_select``/``tree_fill``/``tree_complete``) as compiled
-    #: backend calls over the tree's struct-of-arrays state.  None =
-    #: auto (on exactly when the active kernel backend is compiled);
-    #: True forces them on even under the pure backend (the interpreted
-    #: reference loops — slower, used by the differential suite); False
-    #: pins the interpreted object path.  All settings produce
-    #: byte-identical metrics: a speed knob, not a model knob.
-    tree_kernels: Optional[bool] = None
+    #: calls over the tree's struct-of-arrays state.  True uses them
+    #: wherever the active backend is compiled; False pins the object
+    #: path (the model of record).  Both settings produce byte-identical
+    #: metrics: a speed knob, not a model knob.
+    tree_kernels: bool = True
 
     def __post_init__(self) -> None:
         if self.num_pes < 1:
@@ -145,19 +143,14 @@ class SimConfig:
             raise ConfigError("conservative_override must be None, True or False")
         if self.unit_tasks_per_cycle <= 0:
             raise ConfigError("unit_tasks_per_cycle must be positive")
-        if self.backend is not None and self.backend not in (
-            "auto",
-            "pure",
-            "numba",
-            "cext",
-        ):
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise ConfigError(
-                "backend must be one of None, 'auto', 'pure', 'numba', 'cext'"
+                f"backend must be None or one of {BACKEND_NAMES}"
             )
-        if self.macro_step not in (None, True, False):
-            raise ConfigError("macro_step must be None, True or False")
-        if self.tree_kernels not in (None, True, False):
-            raise ConfigError("tree_kernels must be None, True or False")
+        if self.macro_step not in (True, False):
+            raise ConfigError("macro_step must be True or False")
+        if self.tree_kernels not in (True, False):
+            raise ConfigError("tree_kernels must be True or False")
 
     # ------------------------------------------------------------------
     def replace(self, **changes) -> "SimConfig":

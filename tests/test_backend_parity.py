@@ -1,11 +1,11 @@
-"""Differential parity tests: every kernel backend against pure.
+"""Differential parity tests: the C backend against pure.
 
 Three layers, mirroring how the backends are built:
 
-* **Loop parity** — the shared loop bodies in ``sim/backend/_loops.py``
-  (what numba JITs, and what the C source mirrors) run *interpreted*
-  against the pure/numpy reference on fuzzed inputs.  This covers the
-  numba backend's numerics even on machines without numba installed.
+* **Loop parity** — the raw C loop bodies of ``sim/backend/cext.py``
+  (below the adapters, on caller-owned output buffers) against the
+  numpy reference on fuzzed inputs, in both the merge and the gallop
+  regime.
 * **Kernel parity** — every *available* backend's kernel set against
   pure: identical outputs and identical accounted side effects (cache
   stamps/ticks, EMA window state).
@@ -25,16 +25,16 @@ from repro.mining.setops import (
     subtract,
 )
 from repro.sim import SimConfig, backend, simulate
-from repro.sim.backend import _loops
 from repro.sim.backend import pure as pure_backend
 from repro.sim.memory import Cache, PELatencyWindow
 from repro.validate.fuzz import build_config, build_graph, case_rng, make_case
 
+#: The compiled backends.
+COMPILED = ("cext",)
+
 #: Backends that actually built on this machine (pure is always first).
 AVAILABLE = ["pure"] + [
-    name
-    for name in ("numba", "cext")
-    if backend.available_backends()[name][0]
+    name for name in COMPILED if backend.available_backends()[name][0]
 ]
 
 
@@ -71,31 +71,40 @@ def _operand_cases(seed=7, count=40):
     return cases
 
 
+@pytest.fixture(scope="module")
+def c_lib():
+    """The C library's array-level adapter (the loops under the kernels)."""
+    if "cext" not in AVAILABLE:
+        pytest.skip("the cext backend did not build")
+    # The bound binders' owner is the adapter over the loaded library.
+    return backend._get_instance("cext").tree_bind.__self__
+
+
 class TestLoopParity:
-    """Interpreted ``_loops`` bodies vs the numpy reference."""
+    """Raw C loop bodies vs the numpy reference."""
 
     @pytest.mark.parametrize("a,b", _operand_cases())
-    def test_intersect_loop(self, a, b):
+    def test_intersect_loop(self, c_lib, a, b):
         out = np.empty(max(len(a), 1), dtype=np.int64)
         small, large = (a, b) if len(a) <= len(b) else (b, a)
-        k = _loops.intersect_loop(small, large, out)
+        k = c_lib.intersect_loop(small, large, out)
         np.testing.assert_array_equal(out[:k], np.intersect1d(a, b))
 
     @pytest.mark.parametrize("a,b", _operand_cases(seed=11))
-    def test_subtract_loop(self, a, b):
+    def test_subtract_loop(self, c_lib, a, b):
         out = np.empty(max(len(a), 1), dtype=np.int64)
-        k = _loops.subtract_loop(a, b, out)
+        k = c_lib.subtract_loop(a, b, out)
         np.testing.assert_array_equal(out[:k], np.setdiff1d(a, b))
 
-    def test_ema_fold_loop_bit_identical(self):
+    def test_ema_fold_loop_bit_identical(self, c_lib):
         for n in (1, 3, 8, 17, 300):
             window = PELatencyWindow()
             for _ in range(n):
                 window.record(37.25)
-            state = np.array([2.0, 0.0], dtype=np.float64)
-            _loops.ema_fold_loop(state, window.alpha, 37.25, n)
-            assert state[0] == window.value
-            assert state[1] == window.total_latency
+            folded = PELatencyWindow()
+            c_lib.ema_fold_window(folded, 37.25, n)
+            assert folded.value == window.value
+            assert folded.total_latency == window.total_latency
 
 
 def _filled_cache(lines=32, assoc=4, line_bytes=64, resident=()):
@@ -188,10 +197,9 @@ class TestKernelParity:
     def test_ema_fold_window_parity(self, name):
         kernels = backend.activate(name)
         for n in (1, 3, 8, 17, 300):
-            scratch = np.zeros(2, dtype=np.float64)
             mine = PELatencyWindow()
             ref = PELatencyWindow()
-            kernels.ema_fold(mine, 21.5, n, scratch)
+            kernels.ema_fold(mine, 21.5, n)
             pure_backend.ema_fold(ref, 21.5, n)
             assert mine.value == ref.value
             assert mine.total_latency == ref.total_latency

@@ -77,6 +77,42 @@ class TestExperimentsDoc:
             assert artifact in text, artifact
 
 
+class TestBackendDocs:
+    DOCS = sorted((REPO / "docs").glob("*.md"))
+
+    def test_cited_backend_modules_exist(self):
+        cited = {
+            (doc.name, match.group(1))
+            for doc in self.DOCS
+            for match in re.finditer(
+                r"sim/backend/(\w+\.py)", doc.read_text(encoding="utf-8")
+            )
+        }
+        assert cited
+        backend_dir = REPO / "src" / "repro" / "sim" / "backend"
+        missing = [(d, f) for d, f in cited if not (backend_dir / f).exists()]
+        assert not missing, missing
+
+    def test_backend_tables_name_known_backends(self):
+        from repro.sim.backend import BACKEND_NAMES
+
+        named = []
+        for doc in self.DOCS:
+            in_table = False
+            for line in doc.read_text(encoding="utf-8").splitlines():
+                if re.match(r"\|\s*backend\s*\|", line):
+                    in_table = True
+                elif not line.startswith("|"):
+                    in_table = False
+                elif in_table:
+                    match = re.match(r"\|\s*`(\w+)`", line)
+                    if match:
+                        named.append((doc.name, match.group(1)))
+        assert named
+        unknown = [(d, n) for d, n in named if n not in BACKEND_NAMES]
+        assert not unknown, unknown
+
+
 class TestVersion:
     def test_package_version_matches_pyproject(self):
         import repro

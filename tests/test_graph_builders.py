@@ -11,7 +11,7 @@ class TestFromEdges:
         g = from_edges([(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
 
-    def test_self_loops_dropped(self):
+    def test_self_edges_dropped(self):
         g = from_edges([(0, 0), (0, 1), (2, 2)])
         assert g.num_edges == 1
         assert g.num_vertices == 3  # vertex 2 kept as isolated

@@ -1,15 +1,16 @@
 """Macro-step engine core: differential parity and escape correctness.
 
-The macro-step fast path (``sim/backend/macro.py`` +
-``_loops.task_fastpath_loop`` and its compiled mirrors) must be
-*bit-identical* to the per-event booking path — not approximately equal:
-``repro validate`` and the golden registry diff every metric field.
-Three layers enforce it here:
+The macro-step fast path (``sim/backend/macro.py`` + the C core
+``repro_task_fastpath`` in ``sim/backend/cext.py``) must be
+*bit-identical* to the per-event booking path (``PE._book_task``, the
+model of record) — not approximately equal: ``repro validate`` and the
+golden registry diff every metric field.  The suite runs under the C
+backend and skips only when it did not build.  Three layers enforce it
+here:
 
 * **Booking parity** — whole simulations, all five policies × both
-  golden patterns, macro forced on (interpreted reference loop under
-  pure, plus every compiled backend that built) vs the per-event path:
-  identical ``RunMetrics`` dicts.
+  golden patterns, the C macro core vs the per-event path: identical
+  ``RunMetrics`` dicts.
 * **Instrumented fallback** — a ``TraceRecorder`` on the PEs must push
   every task down the per-event path (hooks see per-stage behavior)
   while changing no accounted metric.
@@ -31,17 +32,18 @@ from repro.sim.accelerator import Accelerator
 from repro.sim.trace import TraceRecorder
 from repro.validate.oracle import ORACLE_POLICIES
 
-#: Backends that actually built on this machine (pure is always first).
-AVAILABLE = ["pure"] + [
-    name
-    for name in ("numba", "cext")
-    if backend.available_backends()[name][0]
-]
+#: The compiled backends (the macro core exists only in compiled form).
+COMPILED = ("cext",)
+
+pytestmark = pytest.mark.skipif(
+    not backend.available_backends()["cext"][0],
+    reason="the cext backend did not build (cffi or a C compiler missing)",
+)
 
 SCALE = 0.2
 PATTERNS = ("tc", "4cl")
 
-CONFIG = SimConfig(backend="pure")
+CONFIG = SimConfig(backend="cext")
 
 
 @pytest.fixture(autouse=True)
@@ -85,7 +87,7 @@ class TestMacroParity:
     def test_macro_matches_per_event(
         self, graph, schedules, per_event_metrics, pattern, policy
     ):
-        for name in AVAILABLE:
+        for name in COMPILED:
             accel = Accelerator(
                 graph,
                 schedules[pattern],
@@ -103,25 +105,25 @@ class TestMacroParity:
             )
 
     def test_macro_auto_resolution(self, graph, schedules):
-        """auto = on exactly when the active backend is compiled;
-        False pins the per-event path even there."""
+        """macro_step=True = on exactly when the active backend is
+        compiled; False pins the per-event path even there."""
         accel = Accelerator(
-            graph, schedules["tc"], CONFIG, policy="shogun"
+            graph, schedules["tc"], CONFIG.replace(backend="pure"),
+            policy="shogun",
         )
-        assert accel.macro is None  # pure + auto: interpreted loop loses
-        compiled = [n for n in AVAILABLE if n != "pure"]
-        if compiled:
+        assert accel.macro is None  # pure: the model of record books
+        for name in COMPILED:
             accel = Accelerator(
                 graph,
                 schedules["tc"],
-                CONFIG.replace(backend=compiled[0]),
+                CONFIG.replace(backend=name),
                 policy="shogun",
             )
             assert accel.macro is not None
             accel = Accelerator(
                 graph,
                 schedules["tc"],
-                CONFIG.replace(backend=compiled[0], macro_step=False),
+                CONFIG.replace(backend=name, macro_step=False),
                 policy="shogun",
             )
             assert accel.macro is None

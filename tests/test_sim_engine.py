@@ -117,7 +117,7 @@ class TestDeterminism:
         assert logs[0] == logs[1]
         assert len(logs[0]) > 10  # the storm actually cascaded
 
-    def test_coalesced_and_legacy_loops_agree(self):
+    def test_coalesced_and_legacy_drains_agree(self):
         # max_events=None takes the same-cycle coalescing drain loop;
         # a huge max_events takes the legacy per-event loop.  Both must
         # produce the identical (time, tag) sequence and final clock.

@@ -2,17 +2,18 @@
 
 The struct-of-arrays task tree (``core/task_tree.py``) routes its hot
 decisions — ``tree_select``/``tree_fill``/``tree_complete`` — through
-the backend kernel set when one is bound.  Like the macro-step core,
-the kernels must be *bit-identical* to the interpreted object path:
-every accounted metric, including the scheduler's own stall/wait
-counters, feeds ``repro validate`` and the golden registry.  Layers:
+the C backend's kernels when they are bound.  Like the macro-step core,
+the kernels must be *bit-identical* to the object path (the model of
+record): every accounted metric, including the scheduler's own
+stall/wait counters, feeds ``repro validate`` and the golden registry.
+The suite runs under the C backend and skips only when it did not
+build.  Layers:
 
 * **Kernel parity** — whole simulations, all five policies × both
-  golden patterns, ``tree_kernels=True`` (interpreted reference loops
-  under pure, plus every compiled backend that built) vs the pinned
-  object path: identical ``RunMetrics`` dicts.
+  golden patterns, the C tree kernels vs the pinned object path:
+  identical ``RunMetrics`` dicts.
 * **Routing attribution** — the ``op_calls``/``op_escapes`` counters
-  must reflect where decisions actually ran: kernels when forced,
+  must reflect where decisions actually ran: kernels when bound,
   object path when pinned off or instrumented.
 * **Instrumented fallback** — a ``TraceRecorder`` must push every
   decision down the object path (hooks keep firing) while changing no
@@ -36,19 +37,20 @@ from repro.sim.accelerator import Accelerator
 from repro.sim.trace import TraceRecorder
 from repro.validate.oracle import ORACLE_POLICIES
 
-#: Backends that actually built on this machine (pure is always first).
-AVAILABLE = ["pure"] + [
-    name
-    for name in ("numba", "cext")
-    if backend.available_backends()[name][0]
-]
+#: The compiled backends (the tree kernels exist only in compiled form).
+COMPILED = ("cext",)
+
+pytestmark = pytest.mark.skipif(
+    not backend.available_backends()["cext"][0],
+    reason="the cext backend did not build (cffi or a C compiler missing)",
+)
 
 SCALE = 0.2
 PATTERNS = ("tc", "4cl")
 
 #: Per-event booking keeps the macro core out of the comparison; the
 #: macro × tree-kernel composition gets its own cell below.
-CONFIG = SimConfig(backend="pure", macro_step=False)
+CONFIG = SimConfig(backend="cext", macro_step=False)
 
 
 @pytest.fixture(autouse=True)
@@ -102,7 +104,7 @@ class TestKernelParity:
     def test_kernels_match_object_path(
         self, graph, schedules, object_metrics, pattern, policy
     ):
-        for name in AVAILABLE:
+        for name in COMPILED:
             accel = Accelerator(
                 graph,
                 schedules[pattern],
@@ -122,23 +124,25 @@ class TestKernelParity:
                 assert _sum_counter(accel, "op_escapes", "pinned_off") == 0
 
     def test_auto_resolution(self, graph, schedules):
-        """auto = bound exactly when the active backend is compiled;
-        False pins the object path even there."""
-        accel = Accelerator(graph, schedules["tc"], CONFIG, policy="shogun")
+        """tree_kernels=True = bound exactly when the active backend is
+        compiled; False pins the object path even there."""
+        accel = Accelerator(
+            graph, schedules["tc"], CONFIG.replace(backend="pure"),
+            policy="shogun",
+        )
         assert all(t._kernel_ops is None for t in _trees(accel))
-        compiled = [n for n in AVAILABLE if n != "pure"]
-        if compiled:
+        for name in COMPILED:
             accel = Accelerator(
                 graph,
                 schedules["tc"],
-                CONFIG.replace(backend=compiled[0]),
+                CONFIG.replace(backend=name),
                 policy="shogun",
             )
             assert all(t._kernel_ops is not None for t in _trees(accel))
             accel = Accelerator(
                 graph,
                 schedules["tc"],
-                CONFIG.replace(backend=compiled[0], tree_kernels=False),
+                CONFIG.replace(backend=name, tree_kernels=False),
                 policy="shogun",
             )
             assert all(t._kernel_ops is None for t in _trees(accel))
@@ -207,7 +211,7 @@ class TestEdgeCells:
             config=starved.replace(tree_kernels=False),
         )
         assert sum(pm.token_stalls for pm in ref.per_pe) > 0  # really starves
-        for name in AVAILABLE:
+        for name in COMPILED:
             metrics = simulate(
                 graph,
                 schedules["tc"],
@@ -227,7 +231,7 @@ class TestEdgeCells:
             policy="shogun",
             config=pinned.replace(tree_kernels=False),
         )
-        for name in AVAILABLE:
+        for name in COMPILED:
             metrics = simulate(
                 graph,
                 schedules["4cl"],
@@ -245,7 +249,7 @@ class TestEdgeCells:
         import random
 
         rng = random.Random(0xC0FFEE)
-        for name in AVAILABLE:
+        for name in COMPILED:
             accel = Accelerator(
                 graph,
                 schedules["4cl"],
@@ -287,7 +291,7 @@ class TestRandomGeometries:
             policy="shogun",
             config=cell.replace(tree_kernels=False),
         )
-        for name in AVAILABLE:
+        for name in COMPILED:
             metrics = simulate(
                 graph,
                 schedules["tc"],
