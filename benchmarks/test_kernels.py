@@ -642,14 +642,20 @@ class TestKernelTaskTree:
         round-robin, token acquisition, and — once each non-leaf depth's
         pool drains — the fruitless token-validity stall scans.  Both
         sides make the same decisions in the same batches of 8, the
-        shape of ``TaskTree.select_batch``'s kernel and object paths."""
+        shape of ``TaskTree.select_batch``'s kernel and object paths,
+        and both build the selected ``SimTask``s."""
         compiled, _ = kernel_sets
         vertices = np.arange(64, dtype=np.int64)
         out = np.zeros(256, dtype=np.int64)
 
-        def drain_c(ops):
-            while ops.select(0, 8, out):
-                pass
+        def drain_c(ops, tree):
+            materialize = tree._materialize
+            while True:
+                n = ops.select(0, 8, out)
+                if n == 0:
+                    return
+                for i in range(n):
+                    materialize(int(out[i]))
 
         def drain_py(tree):
             select_py = tree._select_py
@@ -666,7 +672,7 @@ class TestKernelTaskTree:
             state = tree.state
             if name == "compiled":
                 ops = compiled.tree_bind(state)
-                fill, drain = ops.fill, functools.partial(drain_c, ops)
+                fill, drain = ops.fill, functools.partial(drain_c, ops, tree)
             else:
                 fill, drain = tree._fill_py, functools.partial(drain_py, tree)
             self._fill_all(state, fill, vertices)

@@ -306,13 +306,13 @@ class TaskTree:
     def _bind_kernels(self, config) -> None:
         """Bind the backend's compiled tree kernels over this tree's arrays.
 
-        ``config.tree_kernels=True`` uses them wherever the active
-        backend is compiled (``cext``); under ``pure``, or with
+        ``config.tree_kernels`` on (None or True) uses them wherever the
+        active backend is compiled (``cext``); under ``pure``, or with
         ``tree_kernels=False``, every decision runs on the object path
         (the model of record).
         """
         binder = self.pe.memory._kernels.tree_bind
-        if config.tree_kernels and binder is not None:
+        if config.tree_kernels is not False and binder is not None:
             self._kernel_ops = binder(self.state)
 
     def _kernels_allowed(self) -> bool:

@@ -41,7 +41,7 @@ from ..service.protocol import (
 from ..service.transports import listener_for
 from ..sim.metrics import RunMetrics
 from .board import CellBoard, DeathReport
-from .protocol import SCHEDULER_NAME
+from .protocol import JOINING, SCHEDULER_NAME
 from .worker import spawn_local_workers, terminate_workers
 
 
@@ -330,6 +330,8 @@ class DistributedScheduler:
             for listener in listeners:
                 await listener.start(self._handle_connection)
                 active.append(listener)
+            if not self.board.done:
+                monitor = asyncio.get_running_loop().create_task(self._monitor())
             if spawn:
                 if not addresses:
                     raise ValueError("--spawn-workers needs a socket address")
@@ -349,8 +351,7 @@ class DistributedScheduler:
                         start=first + 1,
                     )
                 self._report(f"spawned {len(procs)} local worker(s)")
-            if not self.board.done:
-                monitor = asyncio.get_running_loop().create_task(self._monitor())
+            if monitor is not None:
                 await self._done_event.wait()
             await self._let_workers_drain(procs)
         finally:
@@ -365,10 +366,22 @@ class DistributedScheduler:
         return dict(self.results), dict(self.board.failures)
 
     async def _first_pull(self, proc) -> None:
-        """Wait until the only worker so far has pulled (or cannot)."""
+        """Wait until the worker process ``proc`` has pulled (or cannot).
+
+        The board's own record of that worker (matched by pid) leaves
+        ``JOINING`` on its first pull; a pull by any other worker, e.g.
+        one connecting through another listener, does not end the wait.
+        """
         deadline = self._clock() + self.register_timeout
+
+        def pulled() -> bool:
+            return any(
+                w.pid == proc.pid and w.state != JOINING
+                for w in self.board.workers.values()
+            )
+
         while (
-            not self.board.stats["pulls"]
+            not pulled()
             and not self.board.done
             and proc.poll() is None
             and self._clock() < deadline

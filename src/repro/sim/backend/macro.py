@@ -201,14 +201,14 @@ class MacroCore:
 def build_macro(accel) -> Optional[MacroCore]:
     """Bind the macro-step core to ``accel`` (or ``None`` when off).
 
-    ``config.macro_step=True`` enables the core wherever the active
-    kernel backend is compiled (``cext``); under ``pure``, or with
-    ``macro_step=False``, tasks book through the per-event model of
+    ``config.macro_step`` on (None or True) enables the core wherever
+    the active kernel backend is compiled (``cext``); under ``pure``, or
+    with ``macro_step=False``, tasks book through the per-event model of
     record.  On success every PE's ``_macro`` is pointed at the
     returned core.
     """
     binder = accel.memory._kernels.macro_bind
-    if not accel.config.macro_step or binder is None:
+    if accel.config.macro_step is False or binder is None:
         return None
     core = MacroCore(accel, binder)
     for pe in accel.pes:

@@ -105,19 +105,22 @@ class SimConfig:
     backend: Optional[str] = None
     #: Macro-step engine core: book a whole task pipeline in one
     #: compiled call, escaping to the per-event Python path on cache
-    #: misses, multi-round tasks and instrumentation.  True uses the
-    #: compiled core wherever the active backend is compiled; False
-    #: pins the per-event model of record.  Both settings produce
-    #: byte-identical metrics, so like ``backend`` this is a speed
-    #: knob, not a model knob.
-    macro_step: bool = True
+    #: misses, multi-round tasks and instrumentation.  On (None or
+    #: True) uses the compiled core wherever the active backend is
+    #: compiled; False pins the per-event model of record.  The default
+    #: stays None rather than True because config fingerprints (every
+    #: field's value, as ``perfbench/digests.json`` keys cells) must not
+    #: move.  Both settings produce byte-identical metrics, so like
+    #: ``backend`` this is a speed knob, not a model knob.
+    macro_step: Optional[bool] = None
     #: Task-tree scheduler kernels: run the hot tree decisions
     #: (``tree_select``/``tree_fill``/``tree_complete``) as compiled
-    #: calls over the tree's struct-of-arrays state.  True uses them
-    #: wherever the active backend is compiled; False pins the object
-    #: path (the model of record).  Both settings produce byte-identical
-    #: metrics: a speed knob, not a model knob.
-    tree_kernels: bool = True
+    #: calls over the tree's struct-of-arrays state.  On (None or True,
+    #: None kept as the default for the same reason as ``macro_step``)
+    #: uses them wherever the active backend is compiled; False pins the
+    #: object path (the model of record).  Both settings produce
+    #: byte-identical metrics: a speed knob, not a model knob.
+    tree_kernels: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.num_pes < 1:
@@ -147,10 +150,10 @@ class SimConfig:
             raise ConfigError(
                 f"backend must be None or one of {BACKEND_NAMES}"
             )
-        if self.macro_step not in (True, False):
-            raise ConfigError("macro_step must be True or False")
-        if self.tree_kernels not in (True, False):
-            raise ConfigError("tree_kernels must be True or False")
+        if self.macro_step not in (None, True, False):
+            raise ConfigError("macro_step must be None, True or False")
+        if self.tree_kernels not in (None, True, False):
+            raise ConfigError("tree_kernels must be None, True or False")
 
     # ------------------------------------------------------------------
     def replace(self, **changes) -> "SimConfig":

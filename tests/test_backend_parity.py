@@ -76,8 +76,9 @@ def c_lib():
     """The C library's array-level adapter (the loops under the kernels)."""
     if "cext" not in AVAILABLE:
         pytest.skip("the cext backend did not build")
-    # The bound binders' owner is the adapter over the loaded library.
-    return backend._get_instance("cext").tree_bind.__self__
+    from repro.sim.backend import cext
+
+    return cext._CLib()
 
 
 class TestLoopParity:
