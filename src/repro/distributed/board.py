@@ -13,8 +13,8 @@ loses exactly its queued cells" provable instead of probabilistic.
 Placement
 ---------
 Cells are grouped by :func:`~repro.orchestrator.cells.group_key`
-(``(dataset, pattern, scale)``) — the same grouping PR 4's batch
-scheduler uses per process — ordered largest-first (key as the
+(``(dataset, pattern, scale)``) — the grouping the batch scheduler
+queues its cells by — ordered largest-first (key as the
 tie-break, so the order is deterministic).  A worker that pulls with an
 empty queue is handed a whole unassigned group, preferring one whose
 graph it has already staged; the group's graph is then considered

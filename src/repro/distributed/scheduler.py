@@ -12,25 +12,24 @@ module only moves messages.
 :class:`DistributedOrchestrator` is the drop-in ``repro experiment
 --workers ADDR`` entry point: it subclasses the batch
 :class:`~repro.orchestrator.scheduler.Orchestrator` and overrides only
-``run_cells`` — planning, cache read-through, replayed rendering and
+``_execute`` — planning, cache read-through, replayed rendering and
 manifest semantics are inherited unchanged, which is what keeps a
 distributed run byte-identical to a serial one (same planner, same
-cache keys, same ``_execute_cell`` body worker-side, same replay
-render).
+cache keys, same :class:`~repro.orchestrator.executor.PersistentCellExecutor`
+cell body worker-side, same replay render).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import signal
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..orchestrator.cache import ResultCache
 from ..orchestrator.cells import CellSpec
 from ..orchestrator.manifest import CellOutcome, RunManifest
-from ..orchestrator.scheduler import Orchestrator, _InterruptGuard
+from ..orchestrator.scheduler import Orchestrator
 from ..service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -409,9 +408,10 @@ class DistributedScheduler:
 class DistributedOrchestrator(Orchestrator):
     """``repro experiment --workers ADDR``: the batch API, served remotely.
 
-    Inherits planning, cache read-through and replayed rendering from
-    the batch orchestrator; only cell *execution* is overridden to run
-    through a :class:`DistributedScheduler`.
+    Inherits planning, cache read-through, the interrupt drain and
+    replayed rendering from the batch orchestrator; only cell
+    *execution* (``_execute``) is overridden to run through a
+    :class:`DistributedScheduler`.
     """
 
     def __init__(
@@ -438,17 +438,7 @@ class DistributedOrchestrator(Orchestrator):
         #: The last sweep's scheduler (tests inspect board stats).
         self.last_scheduler: Optional[DistributedScheduler] = None
 
-    def run_cells(
-        self,
-        specs: Dict[str, CellSpec],
-        manifest: Optional[RunManifest] = None,
-    ):
-        manifest = manifest if manifest is not None else RunManifest(jobs=self.jobs)
-        results: Dict[str, RunMetrics] = {}
-        failures: Dict[str, dict] = {}
-        pending = self._readthrough(specs, manifest, results)
-        if not pending:
-            return results, failures
+    def _execute(self, pending, attempts, results, failures, manifest, *, total):
         scheduler = DistributedScheduler(
             pending,
             cache=self.cache,
@@ -460,41 +450,21 @@ class DistributedOrchestrator(Orchestrator):
             register_timeout=self.register_timeout,
             progress=self.progress,
             progress_done=len(results),
-            progress_total=len(specs),
+            progress_total=total,
         )
         self.last_scheduler = scheduler
-        guard = _InterruptGuard()
         try:
-            with guard:
-                dist_results, dist_failures = asyncio.run(
-                    scheduler.run(
-                        [self.address],
-                        spawn=self.spawn_workers,
-                        spawn_slots=self.worker_slots,
-                        spawn_faults=self.spawn_faults,
-                    )
+            asyncio.run(
+                scheduler.run(
+                    [self.address],
+                    spawn=self.spawn_workers,
+                    spawn_slots=self.worker_slots,
+                    spawn_faults=self.spawn_faults,
                 )
-        except KeyboardInterrupt:
-            name = signal.Signals(guard.signum).name if guard.signum else "SIGINT"
-            self._report(f"{name}: draining — abandoning distributed sweep")
+            )
+        finally:
+            # Interrupted or not, what resolved is kept.
             results.update(scheduler.results)
             failures.update(scheduler.board.failures)
-            for key, spec in pending.items():
-                if key in results or key in failures:
-                    continue
-                failures[key] = {
-                    "type": "Interrupted",
-                    "message": f"sweep interrupted by {name}",
-                    "traceback": "",
-                }
-                manifest.cells.append(
-                    CellOutcome(key, spec.label(), "failed", 0.0,
-                                scheduler.board.attempts.get(key, 0),
-                                failures[key])
-                )
+            attempts.update(scheduler.board.attempts)
             manifest.workers = scheduler.board.describe()
-            raise
-        results.update(dist_results)
-        failures.update(dist_failures)
-        manifest.workers = scheduler.board.describe()
-        return results, failures

@@ -4,7 +4,7 @@ A worker is a small asyncio process around the same
 :class:`~repro.orchestrator.executor.PersistentCellExecutor` the
 ``repro serve`` daemon runs on — which is precisely what makes its
 results byte-identical to the serial path: the identical
-``_execute_cell`` body produces the metrics, the identical wire codec
+``_execute_staged_cell`` body produces the metrics, the identical wire codec
 round-trips them (JSON float round-tripping is exact).
 
 Life of a worker::

@@ -86,8 +86,9 @@ def group_key(spec: CellSpec) -> "tuple[str, str, float]":
 
     Cells in one group share a staged graph *and* a mined reference
     count, so a worker that runs the whole group materializes both
-    exactly once.  The batch scheduler's per-process grouping and the
-    distributed scheduler's locality-aware placement both key on this.
+    exactly once.  The batch scheduler's queue order (each group's
+    cells next to each other) and the distributed scheduler's
+    locality-aware placement both key on this.
     """
     return (spec.dataset, spec.pattern, float(spec.scale))
 

@@ -1,12 +1,12 @@
 """Awaitable per-cell execution on a long-lived warm pool.
 
-The batch :class:`~repro.orchestrator.scheduler.Orchestrator` exposes
-one blocking entry point (``run_cells``) that stages graphs, runs a
-whole deduplicated grid, and tears everything down.  A serving process
-needs the opposite shape: stand the expensive state up **once** — the
-worker pool and the shared-memory graph arena — and then answer
-individual cells as they arrive, concurrently, without ever paying
-startup again.  :class:`PersistentCellExecutor` is that shape:
+Every execution plane runs its cells through :class:`PersistentCellExecutor`:
+the batch :class:`~repro.orchestrator.scheduler.Orchestrator` opens one
+per sweep, and ``repro serve`` (:mod:`repro.service`) and ``repro
+worker`` (:mod:`repro.distributed.worker`) keep one warm for their
+whole lifetime.  The executor owns the expensive state — the worker
+pool and the shared-memory graph arena — and answers individual cells
+as they arrive, concurrently:
 
 * ``stage(dataset, scale)`` materializes a graph once — into the
   process-local dataset memo and, in pool mode, a
@@ -14,10 +14,9 @@ startup again.  :class:`PersistentCellExecutor` is that shape:
   zero-copy;
 * ``run_cell(spec, key)`` is an **awaitable**: it dispatches one cell
   to the warm pool (or an in-process worker thread when ``jobs=1``)
-  and resolves to the same ``(metrics, error, seconds, worker)``
-  outcome tuple the batch scheduler produces, with the same structured
-  error isolation — a failing cell returns an error report, it never
-  poisons the pool;
+  and resolves to a ``(metrics, error, seconds, worker)`` outcome
+  tuple with structured error isolation — a failing cell returns an
+  error report, it never poisons the pool;
 * a worker that dies hard (``BrokenProcessPool``) or exceeds its
   timeout is replaced: the pool is rebuilt behind the same executor so
   the next cell still finds it warm;
@@ -25,20 +24,20 @@ startup again.  :class:`PersistentCellExecutor` is that shape:
   the arena's ``/dev/shm`` segments (idempotent, also a context
   manager).
 
-``repro serve`` (:mod:`repro.service`) drives this executor; the batch
-orchestrator keeps its wave-based path, and both run the identical
-:func:`~repro.orchestrator.scheduler._execute_cell` worker body, which
-is what keeps daemon-served metrics byte-identical to batch-run ones.
+Every plane runs the one worker body, :func:`_execute_staged_cell`
+(around :func:`_execute_cell`), which is what keeps batch-run,
+daemon-served and worker-computed metrics byte-identical.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import multiprocessing
 import os
+import sys
 import threading
 import time
+import traceback
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
@@ -46,14 +45,52 @@ from ..graph.arena import ArenaHandle, GraphArena, arena_enabled, worker_init
 from ..sim.metrics import RunMetrics
 from .cache import ResultCache
 from .cells import CellSpec, cell_key
-from .scheduler import _execute_cell, _spec_payload
 
 #: Outcome of one cell: (metrics, error, seconds, worker record).
 CellOutcomeTuple = Tuple[Optional[RunMetrics], Optional[dict], float, Optional[dict]]
 
 
+# ----------------------------------------------------------------------
+# worker entry points (top level so they pickle under any start method)
+# ----------------------------------------------------------------------
+
+def _execute_cell(payload: Tuple) -> Tuple[str, Optional[dict], Optional[dict], float]:
+    """Run one cell; returns (key, metrics_dict | None, error | None, seconds).
+
+    Exceptions never propagate: they come back as structured error
+    dictionaries so one bad cell cannot poison the pool or the sweep.
+    Metrics cross the process boundary as plain dicts
+    (``RunMetrics.to_dict``), the same form the cache stores.
+    """
+    key, dataset, pattern, policy, config, scale, verify = payload
+    start = time.perf_counter()
+    try:
+        from ..experiments.runner import simulate_cell
+
+        metrics = simulate_cell(
+            dataset, pattern, policy, config=config, scale=scale, verify=verify
+        )
+        return (key, metrics.to_dict(), None, time.perf_counter() - start)
+    except KeyboardInterrupt:
+        # An interrupt is aimed at the sweep, not the cell: let it
+        # unwind (the batch _InterruptGuard converts SIGTERM into this).
+        raise
+    except BaseException as exc:  # structured failure report, not a crash
+        error = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": traceback.format_exc(),
+        }
+        return (key, None, error, time.perf_counter() - start)
+
+
+def _spec_payload(key: str, spec: CellSpec) -> Tuple:
+    return (key, spec.dataset, spec.pattern, spec.policy,
+            spec.config, spec.scale, spec.verify)
+
+
 def _execute_staged_cell(payload: Tuple, handle: Optional[ArenaHandle]):
-    """Pool worker body: resolve the staged graph, then run the cell.
+    """Worker body: resolve the staged graph, then run the cell.
 
     Graph resolution is best-effort — on any failure the cell falls back
     to its own load path and still reports a proper structured error.
@@ -64,7 +101,7 @@ def _execute_staged_cell(payload: Tuple, handle: Optional[ArenaHandle]):
         from ..graph.arena import resolve_graph
 
         _, source, graph_seconds = resolve_graph(code, scale, handle)
-    except BaseException:
+    except Exception:  # an interrupt still unwinds the inline path
         pass
     key, metrics_dict, error, seconds = _execute_cell(payload)
     from ..sim import backend as kernel_backend
@@ -86,6 +123,13 @@ def _execute_staged_cell(payload: Tuple, handle: Optional[ArenaHandle]):
     return key, metrics_dict, error, seconds, worker
 
 
+def _outcome_of(result: Tuple) -> CellOutcomeTuple:
+    """The worker body's 5-tuple as a ``(metrics, error, seconds, worker)`` outcome."""
+    _key, metrics_dict, error, seconds, worker = result
+    metrics = RunMetrics.from_dict(metrics_dict) if metrics_dict else None
+    return metrics, error, seconds, worker
+
+
 class PersistentCellExecutor:
     """Warm pool + staged arenas behind awaitable per-cell dispatch.
 
@@ -95,7 +139,8 @@ class PersistentCellExecutor:
         Worker processes.  ``1`` runs cells on a single in-process
         worker thread (deterministic, fast to start — the test and
         in-proc-transport default); higher values use a fork-context
-        ``ProcessPoolExecutor`` kept alive across cells.
+        ``ProcessPoolExecutor`` kept alive across cells, or the single
+        worker thread if no process pool can be created here.
     cache:
         Optional :class:`ResultCache` consulted by :meth:`lookup` and
         written through by callers; the executor itself never consults
@@ -191,29 +236,40 @@ class PersistentCellExecutor:
             return self._pool
 
     def _make_pool(self):
-        if self.jobs == 1:
-            return ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-cell"
-            )
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork inherits sys.path, loaded modules and the parent's
-            # dataset memo — workers start warm.
-            context = multiprocessing.get_context("fork")
-        staged = tuple(self._handles.values())
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=context,
-            initializer=worker_init if staged else None,
-            initargs=(staged,) if staged else (),
-        )
+        if self.jobs > 1:
+            context = None
+            if "fork" in multiprocessing.get_all_start_methods():
+                # fork inherits sys.path, loaded modules and the parent's
+                # dataset memo — workers start warm.
+                context = multiprocessing.get_context("fork")
+            staged = tuple(self._handles.values())
+            try:
+                return ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=context,
+                    initializer=worker_init if staged else None,
+                    initargs=(staged,) if staged else (),
+                )
+            except (OSError, ImportError, NotImplementedError) as exc:
+                print(
+                    f"process pool unavailable ({type(exc).__name__}: {exc}); "
+                    "falling back to one in-process worker thread",
+                    file=sys.stderr,
+                )
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-cell")
 
-    def _rebuild_pool(self) -> None:
-        """Replace a broken/abandoned pool so the next cell stays warm."""
+    def _rebuild_pool(self, pool) -> None:
+        """Replace a broken/abandoned pool so the next cell stays warm.
+
+        Only ``pool`` — the one the failed cell ran on — is retired: a
+        second slot reporting the same broken pool must not tear down
+        the fresh one the first slot already dispatched to.
+        """
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if self._pool is not pool:
+                return
+            self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # execution
@@ -226,12 +282,27 @@ class PersistentCellExecutor:
 
     def submit(self, spec: CellSpec, key: Optional[str] = None) -> Future:
         """Dispatch one cell to the warm pool; returns its Future."""
+        return self._submit(spec, key)[1]
+
+    def _submit(self, spec: CellSpec, key: Optional[str]):
         key = key if key is not None else cell_key(spec)
         payload = _spec_payload(key, spec)
         handle = self._handles.get((spec.dataset, float(spec.scale)))
         pool = self._ensure_pool()
         self.executions += 1
-        return pool.submit(_execute_staged_cell, payload, handle)
+        return pool, pool.submit(_execute_staged_cell, payload, handle)
+
+    def run_inline(
+        self, spec: CellSpec, key: Optional[str] = None
+    ) -> CellOutcomeTuple:
+        """Run one cell on the calling thread: no pool, no thread, no timeout.
+
+        The batch ``jobs=1`` path.  A blocking caller has no event loop
+        to keep free, and running here keeps SIGINT/SIGTERM prompt.
+        """
+        key = key if key is not None else cell_key(spec)
+        self.executions += 1
+        return _outcome_of(_execute_staged_cell(_spec_payload(key, spec), None))
 
     async def run_cell(
         self, spec: CellSpec, key: Optional[str] = None
@@ -245,7 +316,7 @@ class PersistentCellExecutor:
         """
         start = time.perf_counter()
         try:
-            future = self.submit(spec, key)
+            pool, future = self._submit(spec, key)
         except RuntimeError as exc:
             error = {"type": type(exc).__name__, "message": str(exc),
                      "traceback": ""}
@@ -258,7 +329,7 @@ class PersistentCellExecutor:
                 outcome = await wrapped
         except asyncio.TimeoutError:
             future.cancel()
-            self._rebuild_pool()
+            self._rebuild_pool(pool)
             error = {
                 "type": "TimeoutError",
                 "message": f"cell exceeded {self.timeout:.0f}s",
@@ -266,13 +337,11 @@ class PersistentCellExecutor:
             }
             return None, error, time.perf_counter() - start, None
         except Exception as exc:  # e.g. BrokenProcessPool
-            self._rebuild_pool()
+            self._rebuild_pool(pool)
             error = {"type": type(exc).__name__, "message": str(exc),
                      "traceback": ""}
             return None, error, time.perf_counter() - start, None
-        _key, metrics_dict, error, seconds, worker = outcome
-        metrics = RunMetrics.from_dict(metrics_dict) if metrics_dict else None
-        return metrics, error, seconds, worker
+        return _outcome_of(outcome)
 
     # ------------------------------------------------------------------
     @property

@@ -14,11 +14,13 @@ phases:
    mining, table3/table4's statistics) are "direct": they skip this
    phase and simply execute inline during render.
 2. **execute** — deduplicated cells are satisfied from the persistent
-   cache when possible; the rest run on a ``ProcessPoolExecutor``
-   (``jobs`` workers, fork context when available) or in-process when
-   ``jobs=1`` or no pool can be created.  Each cell gets a wall-clock
-   timeout and a bounded number of retries; a cell that exhausts them
-   lands in the manifest's failure report instead of aborting the sweep.
+   cache when possible; the rest run on one
+   :class:`~repro.orchestrator.executor.PersistentCellExecutor` opened
+   for the call — the executor ``repro serve`` and ``repro worker``
+   keep warm — or inline on the caller's thread when ``jobs=1``.  Each
+   cell gets a wall-clock timeout (pool mode) and a bounded number of
+   retries; a cell that exhausts them lands in the manifest's failure
+   report instead of aborting the sweep.
 3. **render** — each experiment runs for real with a replay hook that
    serves every ``run_cell`` from the in-memory results, so the rendered
    rows are byte-identical to the serial path (the simulator is
@@ -29,22 +31,18 @@ phases:
 
 from __future__ import annotations
 
+import asyncio
 import inspect
-import multiprocessing
-import os
 import signal
 import threading
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..graph.arena import ArenaHandle, GraphArena, arena_enabled, worker_init
 from ..sim.metrics import RunMetrics
 from .cache import ResultCache
 from .cells import CellSpec, cell_key, graph_key, group_key
+from .executor import CellOutcomeTuple, PersistentCellExecutor
 from .manifest import CellOutcome, ExperimentOutcome, RunManifest
 
 #: Experiments whose cell set can be recorded without real simulation
@@ -174,96 +172,19 @@ def plan_experiment(
 
 
 # ----------------------------------------------------------------------
-# worker entry points (top level so they pickle under any start method)
-# ----------------------------------------------------------------------
-
-def _execute_cell(payload: Tuple) -> Tuple[str, Optional[dict], Optional[dict], float]:
-    """Run one cell; returns (key, metrics_dict | None, error | None, seconds).
-
-    Exceptions never propagate: they come back as structured error
-    dictionaries so one bad cell cannot poison the pool or the sweep.
-    Metrics cross the process boundary as plain dicts
-    (``RunMetrics.to_dict``), the same form the cache stores.
-    """
-    key, dataset, pattern, policy, config, scale, verify = payload
-    start = time.perf_counter()
-    try:
-        from ..experiments.runner import simulate_cell
-
-        metrics = simulate_cell(
-            dataset, pattern, policy, config=config, scale=scale, verify=verify
-        )
-        return (key, metrics.to_dict(), None, time.perf_counter() - start)
-    except KeyboardInterrupt:
-        # An interrupt is aimed at the sweep, not the cell: let it
-        # unwind (the _InterruptGuard converts SIGTERM into this too).
-        raise
-    except BaseException as exc:  # structured failure report, not a crash
-        error = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(),
-        }
-        return (key, None, error, time.perf_counter() - start)
-
-
-#: One unit of pool work: the payloads of every cell sharing a
-#: ``(dataset, pattern, scale)`` plus the staged graph's handle (or None).
-CellGroup = Tuple[Tuple[Tuple, ...], Optional[ArenaHandle]]
-
-
-def _execute_cell_group(
-    group: CellGroup,
-) -> List[Tuple[str, Optional[dict], Optional[dict], float, dict]]:
-    """Run one group of same-graph cells in this process.
-
-    The shared graph is materialized exactly once (shared-memory attach
-    when a handle is staged, else binary store / rebuild), then every
-    cell runs under the usual per-cell error isolation.  Each outcome
-    carries a ``worker`` record — pid, dataset source, graph seconds —
-    for the manifest's failure report.
-    """
-    payloads, handle = group
-    code, scale = payloads[0][1], payloads[0][5]
-    try:
-        from ..graph.arena import resolve_graph
-
-        _, source, graph_seconds = resolve_graph(code, scale, handle)
-    except BaseException:  # cells fall back to their own load path
-        source, graph_seconds = "unresolved", 0.0
-    from ..sim import backend as kernel_backend
-
-    kernel_backend.activate(None)
-    resolution = kernel_backend.resolution()
-    worker = {
-        "pid": os.getpid(),
-        "dataset_source": source,
-        "graph_seconds": round(graph_seconds, 6),
-        # The backend this worker process resolved (the fallback
-        # warning fires once per process and is lost in pool workers;
-        # the manifest keeps the resolution auditable per cell).
-        "backend": resolution["resolved"],
-        **(
-            {"backend_fallback": resolution["fallback"]}
-            if resolution["fallback"]
-            else {}
-        ),
-    }
-    results = []
-    for payload in payloads:
-        key, metrics_dict, error, seconds = _execute_cell(payload)
-        results.append((key, metrics_dict, error, seconds, dict(worker)))
-    return results
-
-
-def _spec_payload(key: str, spec: CellSpec) -> Tuple:
-    return (key, spec.dataset, spec.pattern, spec.policy,
-            spec.config, spec.scale, spec.verify)
-
-
-# ----------------------------------------------------------------------
 # the orchestrator
 # ----------------------------------------------------------------------
+
+async def _run_slots(executor: PersistentCellExecutor, queue, record) -> None:
+    """Drain ``queue`` through ``executor.jobs`` concurrent slot loops."""
+    cells = iter(queue)
+
+    async def slot() -> None:
+        for key, spec in cells:
+            record(key, spec, await executor.run_cell(spec, key))
+
+    await asyncio.gather(*(slot() for _ in range(executor.jobs)))
+
 
 class Orchestrator:
     """Executes deduplicated evaluation cells and renders experiments.
@@ -271,9 +192,10 @@ class Orchestrator:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default) runs everything
-        in-process; higher values use a ``ProcessPoolExecutor`` and fall
-        back to in-process execution if no pool can be created.
+        Worker processes.  ``1`` (the default) runs every cell inline on
+        the caller's thread; higher values run them on a
+        :class:`~repro.orchestrator.executor.PersistentCellExecutor`
+        pool opened for the sweep.
     cache:
         A :class:`ResultCache`, or None to run uncached.
     timeout:
@@ -313,29 +235,39 @@ class Orchestrator:
         specs: Dict[str, CellSpec],
         manifest: Optional[RunManifest] = None,
     ) -> Tuple[Dict[str, RunMetrics], Dict[str, dict]]:
-        """Execute deduplicated cells; returns (results, failures) by key."""
+        """Execute deduplicated cells; returns (results, failures) by key.
+
+        Cache hits are recorded first, the rest go to :meth:`_execute`
+        (the one step the distributed orchestrator overrides), so both
+        paths record cache hits and interrupts identically.  An
+        interrupt marks every unresolved cell ``Interrupted`` before it
+        propagates.
+        """
         manifest = manifest if manifest is not None else RunManifest(jobs=self.jobs)
         results: Dict[str, RunMetrics] = {}
         failures: Dict[str, dict] = {}
-        pending = self._readthrough(specs, manifest, results)
-        attempts = {key: 0 for key in pending}
-        wave = dict(pending)
-        total = len(specs)
-        arena: Optional[GraphArena] = None
-        handles: Dict[Tuple[str, float], ArenaHandle] = {}
+        pending: Dict[str, CellSpec] = {}
+        for key, spec in specs.items():
+            entry = self.cache.get(key) if self.cache is not None else None
+            if entry is None:
+                pending[key] = spec
+                continue
+            results[key] = entry.metrics
+            manifest.cells.append(
+                CellOutcome(key, spec.label(), "cached", entry.seconds)
+            )
+            self._report(f"[cache hit] {spec.label()}")
+        attempts = dict.fromkeys(pending, 0)
         guard = _InterruptGuard()
         try:
             with guard:
                 if pending:
-                    arena, handles = self._stage_graphs(pending, manifest)
-                results, failures = self._run_waves(
-                    wave, attempts, results, failures, manifest,
-                    total=total, handles=handles,
-                )
+                    self._execute(pending, attempts, results, failures,
+                                  manifest, total=len(specs))
         except KeyboardInterrupt:
             name = signal.Signals(guard.signum).name if guard.signum else "SIGINT"
-            self._report(f"{name}: draining — cancelling in-flight cells")
-            for key, spec in wave.items():
+            self._report(f"{name}: draining — abandoning in-flight cells")
+            for key, spec in pending.items():
                 if key in results or key in failures:
                     continue
                 failures[key] = {
@@ -345,263 +277,99 @@ class Orchestrator:
                 }
                 manifest.cells.append(
                     CellOutcome(key, spec.label(), "failed",
-                                0.0, attempts.get(key, 0), failures[key])
+                                0.0, attempts[key], failures[key])
                 )
             raise
-        finally:
-            # Segments must never outlive the sweep — success, cell
-            # failure, timeout, a broken pool or an interrupt all land
-            # here before the exception (if any) propagates.
-            if arena is not None:
-                arena.close()
         return results, failures
 
-    def _readthrough(
+    def _execute(
         self,
-        specs: Dict[str, CellSpec],
-        manifest: RunManifest,
-        results: Dict[str, RunMetrics],
-    ) -> Dict[str, CellSpec]:
-        """Satisfy cells from the persistent cache; returns the rest.
-
-        Shared by the batch and distributed paths so both record cache
-        hits identically (the byte-identity tests compare the outcome).
-        """
-        pending: Dict[str, CellSpec] = {}
-        for key, spec in specs.items():
-            entry = self.cache.get(key) if self.cache is not None else None
-            if entry is not None:
-                results[key] = entry.metrics
-                manifest.cells.append(
-                    CellOutcome(key, spec.label(), "cached", entry.seconds)
-                )
-                self._report(f"[cache hit] {spec.label()}")
-            else:
-                pending[key] = spec
-        return pending
-
-    def _run_waves(
-        self,
-        wave: Dict[str, CellSpec],
+        pending: Dict[str, CellSpec],
         attempts: Dict[str, int],
         results: Dict[str, RunMetrics],
         failures: Dict[str, dict],
         manifest: RunManifest,
         *,
         total: int,
-        handles: Dict[Tuple[str, float], ArenaHandle],
-    ) -> Tuple[Dict[str, RunMetrics], Dict[str, dict]]:
-        """Retry loop over waves of pending cells (in-place updates)."""
-        while wave:
-            outcomes = self._run_wave(
-                wave, done=len(results), total=total, handles=handles
+    ) -> None:
+        """Run the pending cells on one executor, retrying in waves.
+
+        Each wave is queued largest ``(dataset, pattern, scale)`` group
+        first, each group's cells next to each other.  With one job the
+        cells run inline on this thread; otherwise ``jobs`` slot loops
+        keep at most ``jobs`` cells in flight on the executor's pool, so
+        a pool rebuilt after a timeout cancels no queued cell.
+        """
+        executor = PersistentCellExecutor(
+            min(self.jobs, len(pending)), timeout=self.timeout
+        )
+        retry: Dict[str, CellSpec] = {}
+
+        def record(key: str, spec: CellSpec, outcome: CellOutcomeTuple) -> None:
+            metrics, error, seconds, worker = outcome
+            attempts[key] += 1
+            if metrics is not None:
+                results[key] = metrics
+            status = "ok" if metrics is not None else "FAILED"
+            self._report(
+                f"[{len(results)}/{total}] {spec.label()} {status} ({seconds:.2f}s)"
             )
-            next_wave: Dict[str, CellSpec] = {}
-            for key, (metrics, error, seconds, worker) in outcomes.items():
-                attempts[key] += 1
-                spec = wave[key]
-                if metrics is not None:
-                    results[key] = metrics
-                    manifest.cells.append(
-                        CellOutcome(key, spec.label(), "computed",
-                                    seconds, attempts[key], worker=worker)
-                    )
-                    if self.cache is not None:
-                        self.cache.put(spec, key, metrics, seconds)
-                elif attempts[key] <= self.retries:
-                    self._report(
-                        f"[retry {attempts[key]}/{self.retries}] {spec.label()}: "
-                        f"{(error or {}).get('type', 'Error')}"
-                    )
-                    next_wave[key] = spec
+            if metrics is not None:
+                manifest.cells.append(
+                    CellOutcome(key, spec.label(), "computed",
+                                seconds, attempts[key], worker=worker)
+                )
+                if self.cache is not None:
+                    self.cache.put(spec, key, metrics, seconds)
+            elif attempts[key] <= self.retries:
+                self._report(
+                    f"[retry {attempts[key]}/{self.retries}] {spec.label()}: "
+                    f"{(error or {}).get('type', 'Error')}"
+                )
+                retry[key] = spec
+            else:
+                failures[key] = error or {}
+                manifest.cells.append(
+                    CellOutcome(key, spec.label(), "failed",
+                                seconds, attempts[key], error, worker)
+                )
+
+        try:
+            # Stage each distinct graph once, here: inline cells and
+            # forked workers inherit the dataset memo, and pool workers
+            # attach the executor's shared-memory arena.  Best-effort: a
+            # graph that fails to build is left for its cells to report.
+            for code, scale in dict.fromkeys(map(graph_key, pending.values())):
+                staged = dict(executor.stage(code, scale))
+                manifest.staging.append(staged)
+                self._report(
+                    f"[stage] {code}@{scale}: {staged['source']} "
+                    f"({staged['seconds']:.2f}s)"
+                )
+            wave = pending
+            while wave:
+                groups: Dict[Tuple[str, str, float], List[str]] = {}
+                for key, spec in wave.items():
+                    groups.setdefault(group_key(spec), []).append(key)
+                queue = [
+                    (key, wave[key])
+                    for keys in sorted(groups.values(), key=len, reverse=True)
+                    for key in keys
+                ]
+                retry = {}
+                if executor.jobs == 1:
+                    for key, spec in queue:
+                        record(key, spec, executor.run_inline(spec, key))
                 else:
-                    failures[key] = error or {}
-                    manifest.cells.append(
-                        CellOutcome(key, spec.label(), "failed",
-                                    seconds, attempts[key], error, worker)
-                    )
-            wave = next_wave
-        return results, failures
-
-    # ------------------------------------------------------------------
-    def _stage_graphs(
-        self, pending: Dict[str, CellSpec], manifest: RunManifest
-    ) -> Tuple[Optional[GraphArena], Dict[Tuple[str, float], ArenaHandle]]:
-        """Materialize every distinct pending graph once, in the parent.
-
-        Graphs land in the process-local dataset memo (so the serial
-        path and forked workers inherit them) and — when a pool will be
-        used and shared memory works here — in a :class:`GraphArena`
-        whose handles workers attach to instead of rebuilding.  Staging
-        is best-effort: a dataset that fails to build is recorded and
-        left for its cells to report properly.
-        """
-        from ..graph.datasets import load_dataset_with_source
-
-        combos: Dict[Tuple[str, float], None] = {}
-        for spec in pending.values():
-            combos.setdefault(graph_key(spec), None)
-        use_arena = (
-            self.jobs > 1 and len(pending) > 1
-            and arena_enabled() and GraphArena.available()
-        )
-        arena = GraphArena() if use_arena else None
-        handles: Dict[Tuple[str, float], ArenaHandle] = {}
-        try:
-            for code, scale in combos:
-                start = time.perf_counter()
-                record: Dict[str, object] = {"dataset": code, "scale": scale}
-                try:
-                    graph, source = load_dataset_with_source(code, scale=scale)
-                    record["source"] = source
-                    record["vertices"] = graph.num_vertices
-                    record["edges"] = graph.num_edges
-                    if arena is not None:
-                        handle = arena.stage(code, scale, graph)
-                        handles[(code, scale)] = handle
-                        record["arena"] = handle.shm_name
-                except Exception as exc:
-                    record["source"] = "error"
-                    record["error"] = f"{type(exc).__name__}: {exc}"
-                record["seconds"] = round(time.perf_counter() - start, 6)
-                manifest.staging.append(record)
-                self._report(
-                    f"[stage] {code}@{scale}: {record['source']} "
-                    f"({record['seconds']:.2f}s)"
-                )
-        except BaseException:
-            if arena is not None:
-                arena.close()
-            raise
-        return arena, handles
-
-    # ------------------------------------------------------------------
-    def _group_cells(
-        self,
-        wave: Dict[str, CellSpec],
-        handles: Dict[Tuple[str, float], ArenaHandle],
-    ) -> List[CellGroup]:
-        """Group a wave by shared graph and reference count.
-
-        Cells with the same ``(dataset, pattern, scale)`` run in one
-        worker task so the graph is materialized and the reference
-        count mined once per group instead of once per worker process.
-        Largest groups are issued first to keep the pool's tail short.
-        """
-        grouped: Dict[Tuple[str, str, float], List[Tuple]] = {}
-        for key, spec in wave.items():
-            grouped.setdefault(group_key(spec), []).append(
-                _spec_payload(key, spec)
-            )
-        ordered = sorted(grouped.items(), key=lambda item: -len(item[1]))
-        return [
-            (tuple(payloads), handles.get((dataset, scale)))
-            for (dataset, _pattern, scale), payloads in ordered
-        ]
-
-    # ------------------------------------------------------------------
-    def _run_wave(
-        self,
-        wave: Dict[str, CellSpec],
-        *,
-        done: int,
-        total: int,
-        handles: Optional[Dict[Tuple[str, float], ArenaHandle]] = None,
-    ) -> Dict[str, Tuple[Optional[RunMetrics], Optional[dict], float, Optional[dict]]]:
-        groups = self._group_cells(wave, handles or {})
-        if self.jobs > 1 and len(groups) > 1:
-            try:
-                return self._run_wave_pool(groups, wave, done=done, total=total)
-            except (OSError, ImportError, NotImplementedError, PermissionError) as exc:
-                self._report(
-                    f"process pool unavailable ({type(exc).__name__}: {exc}); "
-                    "falling back to in-process execution"
-                )
-        return self._run_wave_serial(groups, wave, done=done, total=total)
-
-    def _run_wave_serial(self, groups, wave, *, done, total):
-        outcomes = {}
-        for group in groups:
-            for key, metrics_dict, error, seconds, worker in _execute_cell_group(group):
-                metrics = RunMetrics.from_dict(metrics_dict) if metrics_dict else None
-                outcomes[key] = (metrics, error, seconds, worker)
-                done += 1 if metrics is not None else 0
-                self._progress_line(wave[key], metrics is not None, seconds, done, total)
-        return outcomes
-
-    def _run_wave_pool(self, groups, wave, *, done, total):
-        outcomes = {}
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork inherits sys.path and loaded modules — workers start
-            # fast and find `repro` regardless of how it was imported.
-            context = multiprocessing.get_context("fork")
-        staged = tuple(h for _, h in groups if h is not None)
-        executor = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(groups)),
-            mp_context=context,
-            # Eagerly attach every staged graph; failures inside the
-            # initializer are swallowed (workers fall back per group).
-            initializer=worker_init if staged else None,
-            initargs=(staged,) if staged else (),
-        )
-        abandon = False
-        try:
-            futures = {
-                executor.submit(_execute_cell_group, group): group
-                for group in groups
-            }
-            for future, group in futures.items():
-                payloads, _handle = group
-                keys = [payload[0] for payload in payloads]
-                # The whole group shares one future, so its budget is
-                # one per-cell timeout per member.
-                budget = self.timeout * len(keys) if self.timeout else None
-                try:
-                    group_results = future.result(timeout=budget)
-                except FutureTimeoutError:
-                    future.cancel()
-                    abandon = True
-                    error = {
-                        "type": "TimeoutError",
-                        "message": f"cell group exceeded {budget:.0f}s",
-                        "traceback": "",
-                    }
-                    group_results = [
-                        (key, None, error, float(self.timeout or 0.0), None)
-                        for key in keys
-                    ]
-                except Exception as exc:  # e.g. BrokenProcessPool
-                    error = {
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": "",
-                    }
-                    group_results = [(key, None, error, 0.0, None) for key in keys]
-                for key, metrics_dict, error, seconds, worker in group_results:
-                    metrics = (
-                        RunMetrics.from_dict(metrics_dict) if metrics_dict else None
-                    )
-                    outcomes[key] = (metrics, error, seconds, worker)
-                    done += 1 if metrics is not None else 0
-                    self._progress_line(
-                        wave[key], metrics is not None, seconds, done, total
-                    )
-        except BaseException:
-            # Interrupted (or pool machinery blew up): never wait on
-            # in-flight workers — cancel what's queued and unwind so the
-            # arena cleanup above still runs promptly.
-            abandon = True
-            raise
+                    asyncio.run(_run_slots(executor, queue, record))
+                wave = retry
+            # Join the pool so its workers are reaped on return.
+            executor.close(cancel=False)
         finally:
-            # A hung worker must not block the sweep: abandon it and let
-            # process teardown reap it.
-            executor.shutdown(wait=not abandon, cancel_futures=True)
-        return outcomes
-
-    def _progress_line(self, spec, ok, seconds, done, total):
-        status = "ok" if ok else "FAILED"
-        self._report(f"[{done}/{total}] {spec.label()} {status} ({seconds:.2f}s)")
+            # Segments must never outlive the sweep — success, cell
+            # failure, timeout, a broken pool or an interrupt all land
+            # here before the exception (if any) propagates.
+            executor.close()
 
     # ------------------------------------------------------------------
     def run_experiments(

@@ -444,3 +444,15 @@ class TestExecutorClose:
         executor.close()
         assert calls == ["shutdown"]
         assert executor.closed
+
+    def test_stale_rebuild_keeps_the_fresh_pool(self):
+        """Two slots failing on one pool retire it once, not its successor."""
+        executor = PersistentCellExecutor(jobs=1)
+        try:
+            broken = executor._ensure_pool()
+            executor._rebuild_pool(broken)  # the first slot's report
+            fresh = executor._ensure_pool()
+            executor._rebuild_pool(broken)  # the second slot's, same pool
+            assert executor._ensure_pool() is fresh
+        finally:
+            executor.close()

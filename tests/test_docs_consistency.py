@@ -4,6 +4,7 @@ Documentation drift is a bug: these tests pin the claims README/DESIGN
 make about the codebase to the actual package contents.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -111,6 +112,39 @@ class TestBackendDocs:
         assert named
         unknown = [(d, n) for d, n in named if n not in BACKEND_NAMES]
         assert not unknown, unknown
+
+
+def _resolves(name: str) -> bool:
+    """Whether a dotted name imports: the longest module prefix, then attributes."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+class TestDottedNames:
+    def test_cited_repro_names_resolve(self):
+        """Every backticked ``repro.…`` name in docs/ and README imports."""
+        docs = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
+        cited = {
+            # A name may wrap after a dot inside its backticks.
+            (doc.name, re.sub(r"\s+", "", match.group(1)))
+            for doc in docs
+            for match in re.finditer(
+                r"`(repro(?:\.\s*\w+)+)`", doc.read_text(encoding="utf-8")
+            )
+        }
+        assert cited
+        missing = [(d, n) for d, n in sorted(cited) if not _resolves(n)]
+        assert not missing, missing
 
 
 class TestVersion:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import glob
 import os
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from repro.graph.arena import (
 )
 from repro.graph.datasets import load_dataset, load_dataset_with_source
 from repro.orchestrator import CellSpec, Orchestrator, RunManifest, cell_key
-from repro.orchestrator import scheduler as scheduler_module
+from repro.orchestrator import executor as executor_module
 from repro.validate.golden import (
     diff_values,
     golden_matrix,
@@ -241,11 +242,11 @@ class TestOrchestratorStaging:
     @needs_shm
     def test_broken_pool_leaves_no_segments(self, monkeypatch):
         monkeypatch.setattr(
-            scheduler_module, "_execute_cell_group", _exit_group
+            executor_module, "_execute_staged_cell", _exit_cell
         )
         config = eval_config()
         specs = {}
-        for pattern in ("tc", "4cl"):  # two groups so the pool engages
+        for pattern in ("tc", "4cl"):  # two pending cells so the pool engages
             spec = CellSpec("wi", pattern, "shogun", SCALE, config, True)
             specs[cell_key(spec)] = spec
         manifest = RunManifest(jobs=2)
@@ -255,6 +256,36 @@ class TestOrchestratorStaging:
         assert manifest.failed == 2
         assert not _leaked_segments()
 
+    @needs_shm
+    def test_timed_out_cell_fails_alone(self, monkeypatch):
+        monkeypatch.setattr(
+            executor_module, "_execute_staged_cell", _hang_on_tc
+        )
+        config = eval_config()
+        specs = {}
+        for pattern in ("tc", "4cl", "5cl", "tt_e"):
+            spec = CellSpec("wi", pattern, "shogun", SCALE, config, True)
+            specs[cell_key(spec)] = spec
+        manifest = RunManifest(jobs=2)
+        orch = Orchestrator(jobs=2, timeout=_HANG_TIMEOUT, retries=0)
+        results, failures = orch.run_cells(specs, manifest)
+        [(failed_key, error)] = failures.items()
+        assert specs[failed_key].pattern == "tc"
+        assert error["type"] == "TimeoutError"
+        assert set(results) == set(specs) - {failed_key}
+        assert manifest.computed == 3 and manifest.failed == 1
+        assert not _leaked_segments()
 
-def _exit_group(group):  # pool target for the broken-pool test
+
+_REAL_BODY = executor_module._execute_staged_cell
+_HANG_TIMEOUT = 5.0
+
+
+def _exit_cell(payload, handle):  # pool target for the broken-pool test
     os._exit(9)
+
+
+def _hang_on_tc(payload, handle):  # pool target for the timeout test
+    if payload[2] == "tc":
+        time.sleep(2 * _HANG_TIMEOUT)
+    return _REAL_BODY(payload, handle)

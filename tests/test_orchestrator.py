@@ -6,6 +6,8 @@ changes, and worker failures landing in the failure report without
 killing the sweep.
 """
 
+import os
+
 import pytest
 
 from repro.experiments import clear_run_cache, eval_config, figure3a
@@ -17,7 +19,7 @@ from repro.orchestrator import (
     cell_key,
     plan_experiment,
 )
-from repro.orchestrator import scheduler as scheduler_module
+from repro.orchestrator import executor as executor_module
 
 SCALE = 0.12
 OVERRIDES = {"figure3a": {"widths": (1, 2)}}  # 4 cells, fast
@@ -94,17 +96,21 @@ class TestParallelEquivalence:
         assert run.ok
         assert run.rendered["figure3a"] == serial
 
-    def test_pool_unavailable_falls_back_in_process(self, tmp_path, monkeypatch):
+    def test_pool_unavailable_falls_back_in_process(
+        self, tmp_path, monkeypatch, capsys
+    ):
         def broken_pool(*args, **kwargs):
             raise OSError("no processes for you")
 
-        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", broken_pool)
         serial = figure3a(widths=(1, 2), scale=SCALE).render()
         clear_run_cache()
         orch = Orchestrator(jobs=2, cache=ResultCache(tmp_path / "cache"))
         run = orch.run_experiments(["figure3a"], scale=SCALE, overrides=OVERRIDES)
         assert run.ok
         assert run.rendered["figure3a"] == serial
+        assert "process pool unavailable" in capsys.readouterr().err
+        assert {c.worker["pid"] for c in run.manifest.cells} == {os.getpid()}
 
 
 class TestPersistentCache:

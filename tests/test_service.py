@@ -426,28 +426,31 @@ class TestCacheAtomicity:
 # ----------------------------------------------------------------------
 
 _INTERRUPT_SCRIPT = r"""
-import os, signal, sys
+import glob, os, signal, sys, time
 from repro.experiments import eval_config
 from repro.orchestrator import CellSpec, Orchestrator, RunManifest, cell_key
-from repro.orchestrator import scheduler as sched
+from repro.orchestrator import executor
 
+JOBS = int(sys.argv[1])
 specs = {}
 for pattern in ("tc", "4cl", "tt_e"):
     spec = CellSpec("wi", pattern, "shogun", 0.05, eval_config(), True)
     specs[cell_key(spec)] = spec
 
-real = sched._execute_cell_group
-calls = []
+real = executor._execute_staged_cell
 
-def hooked(group):
-    if not calls:
-        calls.append(group)
-        os.kill(os.getpid(), signal.SIGTERM)  # raises via _InterruptGuard
-    return real(group)
+def hooked(payload, handle):
+    # The tc cell signals the sweep: its own process when inline, the
+    # parent from a pool worker.  The others wait, so none resolves first.
+    if payload[2] == "tc":
+        os.kill(os.getpid() if JOBS == 1 else os.getppid(), signal.SIGTERM)
+    else:
+        time.sleep(1.0)
+    return real(payload, handle)
 
-sched._execute_cell_group = hooked
-manifest = RunManifest(jobs=1)
-orchestrator = Orchestrator(jobs=1, cache=None, retries=1)
+executor._execute_staged_cell = hooked
+manifest = RunManifest(jobs=JOBS)
+orchestrator = Orchestrator(jobs=JOBS, cache=None, retries=1)
 try:
     orchestrator.run_cells(specs, manifest)
     print("status:no-interrupt")
@@ -456,23 +459,32 @@ except KeyboardInterrupt:
                    if (c.error or {}).get("type") == "Interrupted"]
     print(f"status:interrupted cells:{len(manifest.cells)} "
           f"marked:{len(interrupted)}")
+print(f"leaked:{len(glob.glob('/dev/shm/repro-arena-*'))}")
 """
+
+
+def _interrupted_sweep(jobs: int) -> None:
+    result = subprocess.run(
+        [sys.executable, "-c", _INTERRUPT_SCRIPT, str(jobs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "status:interrupted" in result.stdout
+    # All three cells were pending; every one is accounted for.
+    assert "marked:3" in result.stdout
+    assert "leaked:0" in result.stdout
 
 
 class TestSchedulerInterrupt:
     def test_sigterm_drains_and_records_cells(self):
-        result = subprocess.run(
-            [sys.executable, "-c", _INTERRUPT_SCRIPT],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.path.join(
-                os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                "src",
-            )},
-        )
-        assert result.returncode == 0, result.stderr
-        assert "status:interrupted" in result.stdout
-        # All three cells were pending; every one is accounted for.
-        assert "marked:3" in result.stdout
+        _interrupted_sweep(jobs=1)
+
+    def test_sigterm_from_pool_worker_drains_sweep(self):
+        _interrupted_sweep(jobs=2)
 
     def test_guard_restores_previous_handlers(self):
         from repro.orchestrator.scheduler import _InterruptGuard
