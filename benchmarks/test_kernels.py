@@ -49,7 +49,7 @@ from repro.mining import (
     intersect_reference,
 )
 from repro.patterns import benchmark_schedule
-from repro.sim import Cache, Engine, ReferenceCache, simulate
+from repro.sim import Cache, Engine, simulate
 from repro.sim import backend as kernel_backend
 from repro.sim.memory import PELatencyWindow
 
@@ -205,94 +205,6 @@ class TestKernelSetOps:
         _record_kernel(
             "as_sorted_array_ndarray_fast_path", vec, ref,
             f"{len(arrays)} already-sorted neighbor arrays vs list round-trip",
-        )
-
-
-class TestKernelCache:
-    def test_flat_cache_vs_reference_cache(self):
-        """The flattened numpy cache against the retained dict model, on
-        wide hit-dominated sweeps — the batched API's design point (the
-        simulator's L1 hit rates sit near 1.0; its tiny per-task batches
-        go through the sequential inlined probe instead)."""
-        rng = np.random.RandomState(7)
-        size_bytes, assoc, line = 32 * 1024, 4, 64
-        # 480 distinct lines cycling through a 512-line cache: ~97% hits
-        # with a steady trickle of capacity evictions.
-        batches = [
-            [int(a) for a in rng.choice(480, size=256, replace=False)]
-            for _ in range(64)
-        ]
-
-        def run_flat():
-            cache = Cache(size_bytes, assoc, line)
-            for batch in batches:
-                mask = cache.access_lines(batch)
-                cache.insert_lines(
-                    [addr for addr, hit in zip(batch, mask) if not hit]
-                )
-            return cache
-
-        def run_reference():
-            # Same function: probe the whole batch, then fill the misses
-            # (interleaving fills would change later probes' outcomes).
-            cache = ReferenceCache(size_bytes, assoc, line)
-            for batch in batches:
-                hits = [cache.lookup(addr) for addr in batch]
-                for addr, hit in zip(batch, hits):
-                    if not hit:
-                        cache.insert(addr)
-            return cache
-
-        flat, ref = run_flat(), run_reference()
-        assert (flat.hits, flat.misses, flat.evictions) == (
-            ref.hits, ref.misses, ref.evictions,
-        )
-        assert flat.hit_rate > 0.9  # the sweep really is hit-dominated
-        vec = _best_of(run_flat)
-        refw = _best_of(run_reference)
-        _record_kernel(
-            "cache_batched_access_lines", vec, refw,
-            f"{len(batches)} sweeps of 256 lines, 32KB/4-way, "
-            f"hit rate {flat.hit_rate:.3f}",
-        )
-
-    def test_span_access_vs_reference_cache(self):
-        """The span kernels (`access_span`/`insert_span`) against the dict
-        model's per-line loops, on contiguous hit-dominated sweeps — the
-        shape every neighbor/intermediate/output set has in the simulator."""
-        size_bytes, assoc, line = 32 * 1024, 4, 64
-        # Four 120-line spans cycling through a 512-line cache: the first
-        # pass fills, every later pass is a pure all-hit refresh.
-        spans = [(s, s + 119) for s in (0, 120, 240, 360)] * 16
-
-        def run_flat():
-            cache = Cache(size_bytes, assoc, line)
-            for first, last in spans:
-                mask = cache.access_span(first, last)
-                if not mask.all():
-                    cache.insert_span(first, last)
-            return cache
-
-        def run_reference():
-            cache = ReferenceCache(size_bytes, assoc, line)
-            for first, last in spans:
-                hits = [cache.lookup(a) for a in range(first, last + 1)]
-                if not all(hits):
-                    for a in range(first, last + 1):
-                        cache.insert(a)
-            return cache
-
-        flat, ref = run_flat(), run_reference()
-        assert (flat.hits, flat.misses, flat.evictions) == (
-            ref.hits, ref.misses, ref.evictions,
-        )
-        assert flat.hit_rate > 0.9
-        vec = _best_of(run_flat)
-        refw = _best_of(run_reference)
-        _record_kernel(
-            "cache_span_access", vec, refw,
-            f"{len(spans)} contiguous 120-line span sweeps, 32KB/4-way, "
-            f"hit rate {flat.hit_rate:.3f}",
         )
 
 

@@ -137,7 +137,9 @@ class ShogunPolicy(SchedulingPolicy):
                     task.set_address, len(task.expansion.candidates) * 4
                 )
                 if span is not None:
-                    self.pe.memory.warm_l1_span(self.pe.pe_id, span[0], span[1])
+                    self.pe.memory.install_intermediate_span(
+                        self.pe.pe_id, span[0], span[1]
+                    )
 
     # ------------------------------------------------------------------
     def _on_tree_done(self, tree_id: int) -> None:

@@ -64,7 +64,6 @@ loop because bookings never mutate tree state.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
@@ -96,8 +95,6 @@ DONE_EXTENDED = 2   # entry + token reused for the next candidate
 DONE_IDLED = 3      # entry idled, bunch still has active entries
 DONE_RECYCLE = 4    # entry idled and the bunch drained: recycle in Python
 DONE_UNDERFLOW = 5  # active-count underflow (simulator bug)
-
-_DEBUG_CHECK = os.environ.get("REPRO_TREE_DEBUG", "") == "1"
 
 #: Module-level switch for ``repro profile``'s scheduler attribution:
 #: when on, trees accumulate per-op wall time in ``op_seconds``.
@@ -198,37 +195,6 @@ class TaskTreeState:
         self.ctl[CTL_EXEC_BUNCH] = -1
 
 
-class Bunch:
-    """Read-only object view of one bunch (debugging / introspection).
-
-    The authoritative state lives in :class:`TaskTreeState`; this view is
-    built on demand by :meth:`TaskTree.bunch_view` for the instrumented,
-    splitting and merging inspection paths that want the PR-9-era object
-    shape.  ``ready`` lists ``(slot, vertex, child_index, token)`` tuples
-    in FIFO order.
-    """
-
-    __slots__ = ("depth", "capacity", "index", "parent", "ready", "active",
-                 "executing", "in_use", "tree")
-
-    def __init__(self, depth: int, capacity: int, index: int) -> None:
-        self.depth = depth
-        self.capacity = capacity
-        self.index = index
-        self.parent: Optional[SimTask] = None
-        self.ready: List[Tuple[int, int, int, Optional[int]]] = []
-        self.active = 0
-        self.executing = 0
-        self.in_use = False
-        self.tree: Optional[int] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Bunch(d={self.depth}, i={self.index}, in_use={self.in_use}, "
-            f"ready={len(self.ready)}, active={self.active})"
-        )
-
-
 class TaskTree:
     """Per-PE task tree: storage, FSM and scheduler."""
 
@@ -264,7 +230,6 @@ class TaskTree:
             )
             for depth in range(self.max_depth)
         }
-        self._pool_dicts = tuple(p.__dict__ for p in self.tokens.values())
         #: Preallocated buffer addresses per (depth, token).
         self._addr: List[List[int]] = [
             [pe.buffer_map.address(d, t) for t in range(tpd)]
@@ -319,18 +284,15 @@ class TaskTree:
         """Whether the compiled path may run *right now*.
 
         Instrumentation (trace recorder, invariant checker) installs
-        instance-attribute wrappers on the PE hooks and/or the token
-        pool adapters; any of those pins the tree to the object path so
-        every wrapped call keeps firing.  Checked per call — hooks can
-        attach at any time between events.
+        instance-attribute wrappers on the PE hooks; any of those pins
+        the tree to the object path so every wrapped call keeps firing.
+        The invariant checker also wraps the token pool adapters, but
+        only in the same attach call that wraps the PE hooks, so the PE
+        check alone decides.  Checked per call — hooks can attach at any
+        time between events.
         """
         pe_dict = self.pe.__dict__
-        if "_start_task" in pe_dict or "_complete_task" in pe_dict:
-            return False
-        for pool_dict in self._pool_dicts:
-            if "acquire" in pool_dict or "release" in pool_dict:
-                return False
-        return True
+        return not ("_start_task" in pe_dict or "_complete_task" in pe_dict)
 
     # ------------------------------------------------------------------
     # root / partition intake
@@ -447,37 +409,18 @@ class TaskTree:
 
         Bunches are considered in preference order (siblings of the last
         selection first, then round-robin; conservative mode restricts to
-        the executing bunch).  The decision itself runs in the backend's
+        the executing bunch).  A one-task :meth:`select_batch`: the
         ``tree_select`` kernel when one is bound and no instrumentation
-        pins the object path; both paths mutate the same arrays.
+        pins the object path (:meth:`_select_py`).
         """
-        s = self.state
-        if not s.ctl[CTL_READY]:
-            return None
-        ops = self._kernel_ops
-        if ops is not None and self._kernels_allowed():
-            self.op_calls["select_kernel"] += 1
-            if self._profiling:
-                begin = time.perf_counter()
-                n = ops.select(1 if conservative else 0, 1, self._out_slots)
-                self.op_seconds["select"] += time.perf_counter() - begin
-            else:
-                n = ops.select(1 if conservative else 0, 1, self._out_slots)
-            if n == 0:
-                return None
-            return self._materialize(int(self._out_slots[0]))
-        if ops is not None:
-            self.op_escapes["instrumented"] += 1
-        else:
-            self.op_escapes["pinned_off"] += 1
-        self.op_calls["select_object"] += 1
-        return self._select_py(conservative)
+        tasks = self.select_batch(conservative, 1)
+        return tasks[0] if tasks else None
 
     def select_batch(self, conservative: bool, limit: int) -> List[SimTask]:
         """Schedule up to ``limit`` tasks in one compiled run.
 
-        Exactly equivalent to calling :meth:`select` ``limit`` times and
-        stopping at the first ``None``: a selection only reads and writes
+        Exactly equivalent to ``limit`` one-task selections, stopping at
+        the first that finds nothing: a selection only reads and writes
         tree/token state, which bookings never touch, so draining a whole
         dispatch's worth of free slots in one kernel call preserves
         per-call order bit-for-bit (including token-stall accounting).
@@ -914,35 +857,13 @@ class TaskTree:
         """
         s = self.state
         if not self._quiesced_trees:
-            count = int(s.ctl[CTL_READY])
-        else:
-            mask = (s.ring_len > 0) & (s.b_quiesced == 0)
-            count = int(s.ring_len[mask].sum())
-        if _DEBUG_CHECK:
-            self._debug_cross_check(count)
-        return count
+            return int(s.ctl[CTL_READY])
+        mask = (s.ring_len > 0) & (s.b_quiesced == 0)
+        return int(s.ring_len[mask].sum())
 
     def executing_count(self) -> int:
         """Tasks currently in the PE pipeline (SoA counter)."""
         return int(self.state.ctl[CTL_EXECUTING])
-
-    def _debug_cross_check(self, ready: int) -> None:
-        """REPRO_TREE_DEBUG=1: counters vs the object view, every read."""
-        s = self.state
-        view_ready = sum(
-            len(b.ready)
-            for views in self.bunch_views().values()
-            for b in views
-            if b.ready and b.tree not in self._quiesced_trees
-        )
-        total = int(s.ring_len.sum())
-        if ready != view_ready or int(s.ctl[CTL_READY]) != total:
-            raise SimulationError(
-                f"SoA/object ready divergence: counter={ready} "
-                f"view={view_ready} ctl={int(s.ctl[CTL_READY])} rings={total}"
-            )
-        if int(s.ctl[CTL_EXECUTING]) != int(s.b_executing.sum()):
-            raise SimulationError("SoA/object executing divergence")
 
     #: Diagnostic counters (read by metrics collection) — SoA-backed.
     @property
@@ -985,38 +906,6 @@ class TaskTree:
         bunches = int(mine.sum())
         max_depth = int(s.b_depth[mine].max()) if bunches else 0
         return {"bunches": bunches, "max_depth": max_depth}
-
-    def bunch_views(self) -> Dict[int, List[Bunch]]:
-        """Object view of every bunch (depth → construction order)."""
-        views: Dict[int, List[Bunch]] = {
-            depth: [] for depth in range(self.max_depth + 1)
-        }
-        for b in range(self.state.nb):
-            view = self.bunch_view(b)
-            views[view.depth].append(view)
-        return views
-
-    def bunch_view(self, b: int) -> Bunch:
-        """Materialize the read-only object view of bunch ``b``."""
-        s = self.state
-        view = Bunch(int(s.b_depth[b]), int(s.b_cap[b]), int(s.b_index[b]))
-        view.in_use = bool(s.b_in_use[b])
-        view.tree = int(s.b_tree[b]) if s.b_tree[b] >= 0 else None
-        view.parent = self._bunch_parent[b]
-        view.active = int(s.b_active[b])
-        view.executing = int(s.b_executing[b])
-        base = b * s.cap
-        head = int(s.ring_head[b])
-        for j in range(int(s.ring_len[b])):
-            slot = int(s.ring[base + (head + j) % s.cap])
-            token = int(s.e_token[slot])
-            view.ready.append((
-                slot,
-                int(s.e_vertex[slot]),
-                int(s.e_child_index[slot]),
-                token if token >= 0 else None,
-            ))
-        return view
 
     # ------------------------------------------------------------------
     # splitting support (§4.1)

@@ -20,6 +20,9 @@ as they arrive, concurrently:
 * a worker that dies hard (``BrokenProcessPool``) or exceeds its
   timeout is replaced: the pool is rebuilt behind the same executor so
   the next cell still finds it warm;
+* a process pool that cannot start its workers — at construction or,
+  under fork, inside its first ``submit()`` — is swapped for one
+  in-process worker thread;
 * ``close()`` drains or cancels outstanding work and always unlinks
   the arena's ``/dev/shm`` segments (idempotent, also a context
   manager).
@@ -48,6 +51,20 @@ from .cells import CellSpec, cell_key
 
 #: Outcome of one cell: (metrics, error, seconds, worker record).
 CellOutcomeTuple = Tuple[Optional[RunMetrics], Optional[dict], float, Optional[dict]]
+
+
+#: Errors that mean "no process pool here": at construction, or — with
+#: fork — when the first ``submit()`` starts the workers.
+_POOL_START_ERRORS = (OSError, ImportError, NotImplementedError)
+
+
+def _thread_fallback(exc: BaseException) -> ThreadPoolExecutor:
+    print(
+        f"process pool unavailable ({type(exc).__name__}: {exc}); "
+        "falling back to one in-process worker thread",
+        file=sys.stderr,
+    )
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-cell")
 
 
 # ----------------------------------------------------------------------
@@ -250,13 +267,28 @@ class PersistentCellExecutor:
                     initializer=worker_init if staged else None,
                     initargs=(staged,) if staged else (),
                 )
-            except (OSError, ImportError, NotImplementedError) as exc:
-                print(
-                    f"process pool unavailable ({type(exc).__name__}: {exc}); "
-                    "falling back to one in-process worker thread",
-                    file=sys.stderr,
-                )
+            except _POOL_START_ERRORS as exc:
+                return _thread_fallback(exc)
         return ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-cell")
+
+    def _retire_unstartable_pool(self, pool, exc: BaseException):
+        """Swap a process pool whose workers failed to start for the thread.
+
+        With fork, ``ProcessPoolExecutor`` starts its workers inside the
+        first ``submit()``, so a fork failure (``EAGAIN``) surfaces there
+        rather than at construction.  Returns the pool to submit to.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("executor is closed")
+            if self._pool is pool or self._pool is None:
+                self._pool = _thread_fallback(exc)
+            replacement = self._pool
+        # Workers forked before the failure would otherwise block exit.
+        for proc in (getattr(pool, "_processes", None) or {}).values():
+            proc.terminate()
+        pool.shutdown(wait=False, cancel_futures=True)
+        return replacement
 
     def _rebuild_pool(self, pool) -> None:
         """Replace a broken/abandoned pool so the next cell stays warm.
@@ -290,7 +322,11 @@ class PersistentCellExecutor:
         handle = self._handles.get((spec.dataset, float(spec.scale)))
         pool = self._ensure_pool()
         self.executions += 1
-        return pool, pool.submit(_execute_staged_cell, payload, handle)
+        try:
+            return pool, pool.submit(_execute_staged_cell, payload, handle)
+        except _POOL_START_ERRORS as exc:
+            pool = self._retire_unstartable_pool(pool, exc)
+            return pool, pool.submit(_execute_staged_cell, payload, handle)
 
     def run_inline(
         self, spec: CellSpec, key: Optional[str] = None

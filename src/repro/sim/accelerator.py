@@ -87,7 +87,8 @@ class Accelerator:
         ).tolist()
         factory = policy_factory(policy)
         # Shared struct-of-arrays PE state: every PE operates on its row,
-        # cohort completions and metrics collection sweep the columns.
+        # the macro-step core pins it and metrics collection sweeps the
+        # columns.
         self.pe_state = PEStateVector(config.num_pes, schedule.depth)
         self.pes: List[PE] = [PE(i, self, factory) for i in range(config.num_pes)]
         # Macro-step engine core: binds every PE's fast path to the

@@ -13,19 +13,14 @@ either way; the macro core changes what the start event *does*, never
 what this loop observes.  What the extraction buys:
 
 * the loop handles *typed events* — ``(owner, payload)`` tuples posted
-  by :meth:`Engine.post` — without allocating a closure per event, and
-  batches consecutive same-owner tuples within a bucket into one
-  ``owner.dispatch_events(payloads)`` cohort call (the struct-of-arrays
-  PE completion path),
+  by :meth:`Engine.post` — without allocating a closure per event: each
+  runs as ``owner.dispatch_event(payload)``,
 * the ``Engine._pending`` counter is maintained bucket-at-a-time here
   (one subtraction per timestamp instead of a per-event count), which is
   what makes :meth:`Engine.pending` O(1),
 * profilers and the kernel benchmarks measure the drain as a unit.
 
-Exactness: a cohort call is defined as equivalent to dispatching each
-payload in FIFO order (``PE.dispatch_events`` preserves per-task side
--effect order; instrumented PEs fall back to per-task dispatch), and a
-mixed bucket executes plain callables and tuples in exactly the
+Exactness: a bucket executes plain callables and tuples in exactly the
 scheduled order.  On a callback exception the rest of the bucket is
 dropped with it — ``_pending`` was already debited for the whole
 bucket, so the counter stays consistent with the queue.
@@ -61,25 +56,11 @@ def drain(engine, until: Optional[float], max_events: Optional[int]) -> int:
             nb = len(bucket)
             executed += nb
             engine._pending -= nb
-            i = 0
-            while i < nb:
-                ev = bucket[i]
+            for ev in bucket:
                 if ev.__class__ is tuple:
-                    owner = ev[0]
-                    j = i + 1
-                    while j < nb:
-                        nxt = bucket[j]
-                        if nxt.__class__ is not tuple or nxt[0] is not owner:
-                            break
-                        j += 1
-                    if j - i == 1:
-                        owner.dispatch_event(ev[1])
-                    else:
-                        owner.dispatch_events([bucket[k][1] for k in range(i, j)])
-                    i = j
+                    ev[0].dispatch_event(ev[1])
                 else:
                     ev()
-                    i += 1
         return executed
 
     # max_events path (tests and stepped execution): per-event counting,

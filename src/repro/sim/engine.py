@@ -18,11 +18,8 @@ Two event shapes share the queue:
 * plain callables (:meth:`Engine.at` / :meth:`Engine.after`) — run as
   ``callback()``;
 * typed events (:meth:`Engine.post`) — ``(owner, payload)`` tuples run
-  as ``owner.dispatch_event(payload)``, with consecutive same-owner
-  runs within a bucket batched into one
-  ``owner.dispatch_events(payloads)`` cohort call.  Task completions
-  use this shape: no closure allocation per task, and whole completion
-  cohorts advance through the PE state vector in one call.
+  as ``owner.dispatch_event(payload)``.  Task completions use this
+  shape: no closure allocation per task.
 
 The drain inner loop itself lives in
 :mod:`repro.sim.backend.engine_loop`, shared by every backend — each

@@ -7,8 +7,7 @@ DRAM sits behind the L2.  This module provides:
 
 * :class:`Cache` — a functional set-associative LRU cache at line
   granularity (used for both L1 and L2), stored as flattened per-set
-  numpy tag / LRU-stamp arrays with a batched :meth:`Cache.access_lines`
-  API,
+  numpy tag / LRU-stamp arrays,
 * :class:`ReferenceCache` — the original insertion-ordered-dict model,
   kept as the oracle for the trace-equivalence tests,
 * :class:`Scratchpad` — an occupancy counter gating in-flight task data,
@@ -39,10 +38,13 @@ last_line)`` spans known from two divisions — never materialized lists.
 of every simulated task, with tiny spans (the average neighbor set
 covers one or two cache lines).  Both take an all-hit fast path — a
 side-effect-free residency probe, then batch LRU stamping and a
-float-only latency walk — and fall back to the exact per-line walk of
-the sequence entry points (:meth:`MemorySystem.fetch_intermediate` /
-:meth:`MemorySystem.fetch_graph`, retained for strided multi-round
-chunks and the validation shims) whenever any line misses.  All
+float-only latency walk — and fall back to the exact per-line walk
+whenever any line misses.  There is one such walk per level
+(``_fetch_intermediate_walk`` for the L1, ``_fetch_graph_walk`` for
+the L2), shared with the sequence entry points
+(:meth:`MemorySystem.fetch_intermediate` /
+:meth:`MemorySystem.fetch_graph`, used by the strided multi-round
+chunks, the task-tree vertex fetch and the validation shims).  All
 arithmetic keeps the exact per-line expressions of the original model —
 ``latency = back - issue``, ``done = max(done, issue + latency)``,
 sequential bank/channel booking, per-access EMA folds — so every
@@ -211,46 +213,6 @@ class Cache:
         return evicted
 
     # ------------------------------------------------------------------
-    # batched variants
-    # ------------------------------------------------------------------
-    def access_lines(self, line_addrs: Sequence[int]) -> np.ndarray:
-        """Batched :meth:`lookup` over **distinct** line addresses.
-
-        Returns the boolean hit mask.  Hit ways are stamped in batch
-        order with consecutive ticks, so the resulting LRU state equals a
-        sequential lookup sweep; stats update identically.  Duplicate
-        addresses within one batch are not supported (a duplicate's
-        second access could flip from miss to hit mid-batch) — callers
-        with possibly-duplicated batches use sequential :meth:`lookup`.
-        """
-        n = len(line_addrs)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        addrs = np.asarray(line_addrs, dtype=np.int64)
-        sets = addrs % self.num_sets
-        ways = self._tags.reshape(self.num_sets, self.assoc)[sets]
-        hit_ways = ways == addrs[:, None]
-        mask = hit_ways.any(axis=1)
-        slots = (sets * self.assoc + hit_ways.argmax(axis=1))[mask]
-        nh = int(len(slots))
-        if nh:
-            self._stamps[slots] = np.arange(self._tick, self._tick + nh, dtype=np.int64)
-            self._tick += nh
-        self.hits += nh
-        self.misses += n - nh
-        return mask
-
-    def insert_lines(self, line_addrs: Sequence[int]) -> List[int]:
-        """Batched :meth:`insert`; returns the evicted line addresses."""
-        insert = self.insert
-        out: List[int] = []
-        for addr in line_addrs:
-            evicted = insert(addr)
-            if evicted is not None:
-                out.append(evicted)
-        return out
-
-    # ------------------------------------------------------------------
     # span kernels
     # ------------------------------------------------------------------
     def _span_probe(self, first_line: int, last_line: int):
@@ -265,38 +227,15 @@ class Cache:
         hit_ways = self._tags.reshape(self.num_sets, self.assoc)[sets] == addrs[:, None]
         return sets, hit_ways, hit_ways.any(axis=1)
 
-    def access_span(self, first_line: int, last_line: int) -> np.ndarray:
-        """:meth:`access_lines` over the span ``[first_line, last_line]``.
-
-        Returns the boolean hit mask.  Hit ways are stamped in address
-        order with consecutive ticks, exactly as a sequential
-        :meth:`lookup` sweep would leave them; stats update identically.
-        """
-        n = last_line - first_line + 1
-        if n <= 0:
-            return np.zeros(0, dtype=bool)
-        sets, hit_ways, mask = self._span_probe(first_line, last_line)
-        slots = (sets * self.assoc + hit_ways.argmax(axis=1))[mask]
-        nh = int(len(slots))
-        if nh:
-            self._stamps[slots] = np.arange(self._tick, self._tick + nh, dtype=np.int64)
-            self._tick += nh
-        self.hits += nh
-        self.misses += n - nh
-        return mask
-
     def insert_span(self, first_line: int, last_line: int) -> List[int]:
         """Batched :meth:`insert` of a span; returns evicted line addresses.
 
-        Two fast paths cover the states the simulator actually produces:
-        *all lines already resident* (a pure LRU refresh — the usual
-        writeback to a reused set address; handled by the active
-        backend's ``span_resident_stamp`` kernel, order-independent at
-        any width because restamping never evicts) and *all lines new
-        with a free way in every target set* (a first-touch fill).
-        Anything mixed, or a first-touch span wide enough to revisit a
-        set (``n > num_sets``), falls back to the sequential
-        :meth:`insert` walk so eviction interleaving stays exact.
+        The all-resident span (a pure LRU refresh — the usual writeback
+        to a reused set address) takes the active backend's
+        ``span_resident_stamp`` kernel, order-independent at any width
+        because restamping never evicts.  Anything else runs the
+        sequential :meth:`insert` walk so eviction interleaving stays
+        exact.
         """
         n = last_line - first_line + 1
         if n <= 0:
@@ -305,29 +244,6 @@ class Cache:
             self, first_line, last_line
         ):
             return []
-        if 8 <= n <= self.num_sets:
-            # Consecutive addresses with n <= num_sets map to distinct
-            # sets, so per-set outcomes are order-independent.
-            sets, hit_ways, mask = self._span_probe(first_line, last_line)
-            if not mask.any():
-                fill = self._fill
-                sets_list = sets.tolist()
-                fills = [fill[s] for s in sets_list]
-                if max(fills) < self.assoc:
-                    slots = sets * self.assoc + np.asarray(fills, dtype=np.int64)
-                    addrs = np.arange(first_line, last_line + 1, dtype=np.int64)
-                    self._tags[slots] = addrs
-                    self._stamps[slots] = np.arange(
-                        self._tick, self._tick + n, dtype=np.int64
-                    )
-                    self._tick += n
-                    where = self._where
-                    for addr, slot, set_idx in zip(
-                        range(first_line, last_line + 1), slots.tolist(), sets_list
-                    ):
-                        where[addr] = slot
-                        fill[set_idx] += 1
-                    return []
         insert = self.insert
         out: List[int] = []
         for addr in range(first_line, last_line + 1):
@@ -583,20 +499,12 @@ class MemorySystem:
     def line_span(self, base: int, num_bytes: int) -> Optional[Tuple[int, int]]:
         """``(first_line, last_line)`` covering ``[base, base + num_bytes)``.
 
-        ``None`` for empty ranges — the span equivalent of
-        :meth:`line_addrs` returning ``[]``.
+        ``None`` for empty ranges.
         """
         if num_bytes <= 0:
             return None
         line = self.config.cache_line_bytes
         return (base // line, (base + num_bytes - 1) // line)
-
-    def line_addrs(self, base: int, num_bytes: int) -> List[int]:
-        """Line addresses covering ``[base, base + num_bytes)``."""
-        span = self.line_span(base, num_bytes)
-        if span is None:
-            return []
-        return list(range(span[0], span[1] + 1))
 
     # ------------------------------------------------------------------
     def _l2_access(self, line_addr: int, arrive: float) -> float:
@@ -636,8 +544,9 @@ class MemorySystem:
         monitor sees the dispatch unit's *set* fetch latency, not a
         stream of hot one-line reads.
 
-        Sequence entry point: used by the strided multi-round chunks and
-        as the oracle/fallback for :meth:`fetch_intermediate_span`.
+        Sequence entry point: used by the strided multi-round chunks,
+        the one-line task-tree vertex fetch, and as the oracle for
+        :meth:`fetch_intermediate_span`.
         """
         return self._fetch_intermediate_walk(pe_id, line_addrs, now, record_window)
 
@@ -663,26 +572,6 @@ class MemorySystem:
         bit-for-bit under every backend.
         """
         l1 = self.l1s[pe_id]
-        if last_line == first_line:
-            # Single-line span — the dominant case: straight-line code.
-            slot = l1._where.get(first_line)
-            if slot is None:
-                return self._fetch_intermediate_walk(
-                    pe_id, (first_line,), now, record_window
-                )
-            tick = l1._tick
-            l1._stamps[slot] = tick
-            l1._tick = tick + 1
-            l1.hits += 1
-            self.intermediate_line_fetches += 1
-            l1_hit = self._l1_hit_cycles_f
-            if record_window:
-                window = self.l1_windows[pe_id]
-                window.value += window.alpha * (l1_hit - window.value)
-                window.total_latency += l1_hit
-                window.samples += 1
-            finish = (now + 0) + l1_hit
-            return finish if finish > now else now
         if not self._kernels.span_resident_stamp(l1, first_line, last_line):
             # Miss somewhere in the span (rare): the probe changed
             # nothing, so the sequential walk replays from scratch.
@@ -749,35 +638,6 @@ class MemorySystem:
         self.intermediate_line_fetches += n
         return done
 
-    def fetch_intermediate_line(self, pe_id: int, line_addr: int, now: float) -> float:
-        """One-line :meth:`fetch_intermediate` with ``record_window=False``.
-
-        The task-tree vertex fetch touches exactly one line of the
-        parent's candidate set on every task start, so this path skips
-        the batch loop.  The arithmetic mirrors the batch path for a
-        single line at issue position 0 (``issue = now + 0``).
-        """
-        l1 = self.l1s[pe_id]
-        self.intermediate_line_fetches += 1
-        slot = l1._where.get(line_addr)
-        issue = now + 0
-        if slot is not None:
-            l1._stamps[slot] = l1._tick
-            l1._tick += 1
-            l1.hits += 1
-            latency = self._l1_hit_cycles_f
-        else:
-            l1.misses += 1
-            hop = self.noc.hop_cycles
-            arrive_l2 = issue + self.config.l1_hit_cycles + hop
-            back = self._l2_access(line_addr, arrive_l2) + hop
-            evicted = l1.insert(line_addr)
-            if evicted is not None:
-                self.l2.insert(evicted)
-            latency = back - issue
-        finish = issue + latency
-        return finish if finish > now else now
-
     def fetch_graph(self, pe_id: int, line_addrs: Sequence[int], now: float) -> float:
         """Read CSR graph lines (L2 → DRAM path, bypassing the L1).
 
@@ -786,9 +646,11 @@ class MemorySystem:
         repeat must see the LRU/bank state its predecessor left behind.
 
         Sequence entry point: used by the strided multi-round chunks and
-        as the oracle/fallback for :meth:`fetch_graph_spans`.
+        as the oracle for :meth:`fetch_graph_spans`.
         """
-        return self._fetch_graph_walk(pe_id, line_addrs, now)
+        done, n = self._fetch_graph_walk(line_addrs, now, 0, now)
+        self.graph_line_fetches += n
+        return done
 
     def fetch_graph_spans(
         self, pe_id: int, spans: Sequence[Tuple[int, int]], now: float
@@ -918,37 +780,25 @@ class MemorySystem:
                 continue
             # Mixed span (rare): the exact per-line walk, classification
             # interleaved with fills so later lines see earlier evictions.
-            dram_request = self.dram.request
-            l2_insert = l2.insert
-            for addr in range(first_line, last_line + 1):
-                issue = now + i // ports
-                arrive = issue + hop
-                bank = addr % nbanks
-                queued = float(bank_free[bank])
-                start = queued if queued >= arrive else arrive
-                bank_free[bank] = start + l2_service
-                slot = where_get(addr)
-                if slot is not None:
-                    stamps[slot] = tick
-                    tick += 1
-                    hits += 1
-                    back = start + l2_hit + hop
-                else:
-                    l2.misses += 1
-                    l2._tick = tick
-                    back = dram_request(addr, start + l2_hit)
-                    l2_insert(addr)
-                    tick = l2._tick
-                    back = back + hop
-                if back > done:
-                    done = back
-                i += 1
+            # The walk reads and advances ``l2._tick`` itself.
+            l2._tick = tick
+            done, i = self._fetch_graph_walk(
+                range(first_line, last_line + 1), now, i, done
+            )
+            tick = l2._tick
         l2._tick = tick
         l2.hits += hits
         self.graph_line_fetches += i
         return done
 
-    def _fetch_graph_walk(self, pe_id: int, line_addrs: Sequence[int], now: float) -> float:
+    def _fetch_graph_walk(
+        self, line_addrs: Sequence[int], now: float, i: int, done: float
+    ) -> Tuple[float, int]:
+        """The per-line L2 walk from issue index ``i``.
+
+        Returns the updated completion time and the next issue index;
+        the caller counts the fetched lines.
+        """
         l2 = self.l2
         where_get = l2._where.get
         stamps = l2._stamps
@@ -960,9 +810,9 @@ class MemorySystem:
         l2_hit = self._l2_hit_cycles
         l2_service = self._l2_service_cycles
         hop = self._hop_cycles
-        done = now
-        n = 0
-        for i, addr in enumerate(line_addrs):
+        dram_request = self.dram.request
+        l2_insert = l2.insert
+        for addr in line_addrs:
             issue = now + i // ports
             arrive = issue + hop
             bank = int(addr) % nbanks
@@ -978,17 +828,15 @@ class MemorySystem:
             else:
                 l2.misses += 1
                 l2._tick = tick
-                back = self.dram.request(addr, start + l2_hit)
-                l2.insert(addr)
+                back = dram_request(addr, start + l2_hit) + hop
+                l2_insert(addr)
                 tick = l2._tick
-                back = back + hop
-            n += 1
+            i += 1
             if back > done:
                 done = back
         l2._tick = tick
         l2.hits += hits
-        self.graph_line_fetches += n
-        return done
+        return done, i
 
     def install_intermediate(self, pe_id: int, line_addrs: Sequence[int]) -> None:
         """Install freshly produced candidate-set lines into the PE's L1.
@@ -1010,7 +858,7 @@ class MemorySystem:
     ) -> None:
         """Span-native :meth:`install_intermediate` (the writeback path).
 
-        Rides :meth:`Cache.insert_span`'s vectorized fast paths; evicted
+        Rides :meth:`Cache.insert_span`'s all-resident fast path; evicted
         lines spill to the L2 afterwards in eviction order.  Deferring
         the spills is exact: L1 insertion decisions never read L2 state,
         and these spills are the only L2 operations in the call, so their
@@ -1021,14 +869,6 @@ class MemorySystem:
             l2_insert = self.l2.insert
             for addr in evicted:
                 l2_insert(addr)
-
-    def warm_l1(self, pe_id: int, line_addrs: Sequence[int]) -> None:
-        """Pre-install lines into a PE's L1 (partition-message payload)."""
-        self.install_intermediate(pe_id, line_addrs)
-
-    def warm_l1_span(self, pe_id: int, first_line: int, last_line: int) -> None:
-        """Span-native :meth:`warm_l1` (partition-message payload)."""
-        self.install_intermediate_span(pe_id, first_line, last_line)
 
     # ------------------------------------------------------------------
     def l1_hit_rate(self, pe_id: int) -> float:

@@ -18,11 +18,8 @@ each task costs only two events.
 Mutable PE state lives in a :class:`PEStateVector` — parallel arrays
 indexed by ``pe_id``, shared by all PEs of one accelerator — rather
 than per-instance attributes.  Task completions arrive as typed engine
-events (:meth:`Engine.post`): the drain loop batches a run of
-same-cycle completions on one PE into a single
-:meth:`PE.dispatch_events` call, which advances the whole cohort
-through the state-vector row in one pass instead of one closure
-callback per task.
+events (:meth:`Engine.post`), each dispatched through
+:meth:`PE.dispatch_event` without a closure per task.
 """
 
 from __future__ import annotations
@@ -54,11 +51,10 @@ class PEStateVector:
     One row per PE: pipeline-unit free times, slot occupancy, task and
     match counters, and the busy/idle slot integrals live in parallel
     arrays indexed by ``pe_id`` instead of per-PE instance attributes.
-    The cohort completion path (:meth:`PE.dispatch_events`) folds a
-    whole run of same-cycle completions into one pass over a row, and
-    metrics collection aggregates straight off the columns.  ``PE``
-    exposes its row through properties so external readers and writers
-    (invariant checkers, tests) keep the familiar per-PE view.
+    The compiled macro-step core pins per-PE element pointers into
+    the columns, and metrics collection aggregates straight off them.
+    ``PE`` exposes its row through properties so external readers and
+    writers (invariant checkers, tests) keep the familiar per-PE view.
     """
 
     __slots__ = (
@@ -386,7 +382,9 @@ class PE:
         parent = task.parent
         if parent is not None and parent.set_address is not None:
             vertex_line = (parent.set_address + task.child_index * 4) // self._line_bytes
-            t = self.memory.fetch_intermediate_line(self.pe_id, vertex_line, t)
+            t = self.memory.fetch_intermediate(
+                self.pe_id, (vertex_line,), t, record_window=False
+            )
         return t
 
     def _book_leaf(self, task: SimTask, t: float) -> None:
@@ -407,7 +405,7 @@ class PE:
         — so it is safe to run before *or* after the decode/dispatch
         booking; no booked resource state is consulted.
         """
-        # Ancestor sets inline (see _ancestor_sets): parent is at hand.
+        # Ancestor candidate sets, cached on the parent (_child_sets).
         parent = task.parent
         if parent is None:
             sets = self._no_ancestor_sets
@@ -507,8 +505,8 @@ class PE:
         state.spawn_free[row] = start + self._unit_interval
         self.engine.post(start + self._post_spawn_cycles, self, task)
 
-    def _ancestor_sets(self, task: SimTask) -> List[Optional[object]]:
-        """Materialized candidate sets along this task's ancestor path.
+    def _child_sets(self, parent: SimTask) -> List[Optional[object]]:
+        """Candidate sets on the ancestor path of ``parent``'s children.
 
         ``sets[e]`` is the candidate set *for* depth ``e`` (produced by
         the depth ``e - 1`` ancestor); only ancestors still holding their
@@ -516,19 +514,10 @@ class PE:
         its producer is Resting exactly because descendants may read it.
 
         The list is cached on the parent (``child_sets``) and shared by
-        all siblings: an ancestor's expansion is written once, before any
-        descendant exists, and never replaced, so the walk result is
-        identical for every child.  ``expand`` only reads the list.
+        all its children: an ancestor's expansion is written once,
+        before any descendant exists, and never replaced, so the walk
+        result is identical for every child.  ``expand`` only reads it.
         """
-        parent = task.parent
-        if parent is None:
-            return self._no_ancestor_sets
-        sets = parent.child_sets
-        if sets is None:
-            sets = self._child_sets(parent)
-        return sets
-
-    def _child_sets(self, parent: SimTask) -> List[Optional[object]]:
         grandparent = parent.parent
         if grandparent is None:
             sets: List[Optional[object]] = [None] * (self.schedule.depth + 1)
@@ -592,23 +581,6 @@ class PE:
         replace ``_complete_task`` intercept every event)."""
         self._complete_task(task)
 
-    def dispatch_events(self, tasks: List[SimTask]) -> None:
-        """A cohort of same-cycle completions on this PE, in FIFO order.
-
-        Equivalent by construction to dispatching each task singly; the
-        batched path only folds the counter updates into one pass over
-        the state-vector row.  Instrumented PEs (invariant checker,
-        trace recorder — they install ``_complete_task`` as an instance
-        attribute) fall back to per-task dispatch so their hooks see
-        every completion.
-        """
-        if "_complete_task" in self.__dict__:
-            complete = self._complete_task
-            for task in tasks:
-                complete(task)
-            return
-        self._complete_cohort(tasks)
-
     def _complete_task(self, task: SimTask) -> None:
         self._integrate()
         task.state = _COMPLETE
@@ -627,42 +599,3 @@ class PE:
         state.slots_used[row] -= 1
         self.policy.on_task_complete(task)
         self.kick()
-
-    def _complete_cohort(self, tasks: List[SimTask]) -> None:
-        """Complete a cohort in one pass over the state-vector row.
-
-        Per-task side effects that other components observe mid-cohort
-        — candidate-set materialization (footprint accounting), policy
-        completion hooks and the dispatch kick — stay interleaved in
-        FIFO order exactly as the per-task path runs them; only the
-        pure counter updates (tasks/matches/depth/slots) batch into
-        single row writes.  ``kick`` is idempotent within a cycle, so
-        the repeated calls preserve event ordering without cost.
-        """
-        self._integrate()
-        state = self._state
-        row = self._row
-        depth_row = state.depth_executed[row]
-        max_depth = self._max_depth
-        children = self.context.children
-        footprint_add = self.accel.footprint_add
-        on_task_complete = self.policy.on_task_complete
-        kick = self.kick
-        matches = 0
-        for task in tasks:
-            task.state = _COMPLETE
-            depth = task.depth
-            depth_row[depth] += 1
-            if depth >= max_depth:
-                matches += 1
-                task.children_vertices = []
-            else:
-                candidates = task.expansion.candidates
-                task.children_vertices = children(task.embedding, candidates)
-                footprint_add(len(candidates) * 4)
-            on_task_complete(task)
-            kick()
-        n = len(tasks)
-        state.tasks_executed[row] += n
-        state.matches[row] += matches
-        state.slots_used[row] -= n

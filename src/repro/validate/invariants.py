@@ -262,7 +262,6 @@ class InvariantChecker:
     def _wrap_memory(self) -> None:
         memory = self.accel.memory
         original_fetch = memory.fetch_intermediate
-        original_fetch_line = memory.fetch_intermediate_line
         original_fetch_span = memory.fetch_intermediate_span
         original_graph = memory.fetch_graph
         original_graph_spans = memory.fetch_graph_spans
@@ -274,10 +273,6 @@ class InvariantChecker:
             if record_window:
                 self.windowed_lines += n
             return original_fetch(pe_id, line_addrs, now, record_window=record_window)
-
-        def fetch_intermediate_line(pe_id, line_addr, now):
-            self.l1_lines += 1
-            return original_fetch_line(pe_id, line_addr, now)
 
         def fetch_intermediate_span(pe_id, first_line, last_line, now, *, record_window=True):
             n = last_line - first_line + 1
@@ -301,7 +296,6 @@ class InvariantChecker:
             return original_transfer(lines, ready_time)
 
         memory.fetch_intermediate = fetch_intermediate
-        memory.fetch_intermediate_line = fetch_intermediate_line
         memory.fetch_intermediate_span = fetch_intermediate_span
         memory.fetch_graph = fetch_graph
         memory.fetch_graph_spans = fetch_graph_spans

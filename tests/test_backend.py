@@ -135,17 +135,16 @@ class TestConfigKnob:
 
 
 class _Sink:
-    """Typed-event owner recording how dispatch reached it."""
+    """Typed-event owner recording its payloads (and an optional shared log)."""
 
-    def __init__(self):
+    def __init__(self, log=None):
         self.single = []
-        self.batches = []
+        self.log = log
 
     def dispatch_event(self, payload):
         self.single.append(payload)
-
-    def dispatch_events(self, payloads):
-        self.batches.append(list(payloads))
+        if self.log is not None:
+            self.log.append(payload)
 
 
 class TestTypedEvents:
@@ -155,32 +154,29 @@ class TestTypedEvents:
         engine.post(1.0, sink, "a")
         engine.run()
         assert sink.single == ["a"]
-        assert sink.batches == []
 
-    def test_consecutive_same_owner_events_batch(self):
+    def test_consecutive_same_owner_events_dispatch_in_fifo_order(self):
         engine = Engine()
         sink = _Sink()
         for payload in ("a", "b", "c"):
             engine.post(2.0, sink, payload)
-        engine.run()
-        assert sink.batches == [["a", "b", "c"]]
-        assert sink.single == []
+        assert engine.run() == 3
+        assert sink.single == ["a", "b", "c"]
 
     def test_mixed_bucket_preserves_fifo_order(self):
         engine = Engine()
-        sink, other = _Sink(), _Sink()
         order = []
+        sink, other = _Sink(order), _Sink(order)
         engine.post(1.0, sink, 1)
         engine.post(1.0, sink, 2)
         engine.at(1.0, lambda: order.append("call"))
         engine.post(1.0, sink, 3)
         engine.post(1.0, other, 4)
         engine.run()
-        # The callable splits sink's run; the owner change splits again.
-        assert sink.batches == [[1, 2]]
-        assert sink.single == [3]
+        # Callables and typed events of every owner run in posting order.
+        assert order == [1, 2, "call", 3, 4]
+        assert sink.single == [1, 2, 3]
         assert other.single == [4]
-        assert order == ["call"]
 
     def test_post_rejects_past_times(self):
         engine = Engine()
@@ -196,10 +192,9 @@ class TestTypedEvents:
             engine.post(1.0, sink, payload)
         assert engine.run(max_events=2) == 2
         assert sink.single == [0, 1]
-        # The unbounded drain batches the requeued remainder as a cohort.
+        # The unbounded drain runs the requeued remainder in order.
         assert engine.run() == 2
-        assert sink.single == [0, 1]
-        assert sink.batches == [[2, 3]]
+        assert sink.single == [0, 1, 2, 3]
 
 
 class TestPendingCounter:
@@ -247,7 +242,7 @@ class TestPendingCounter:
 
 class TestInstrumentedDispatchFallback:
     def test_wrapped_complete_task_sees_every_event(self, tiny_graph):
-        """Instance-attribute instrumentation forces per-task dispatch."""
+        """An instance-attribute `_complete_task` wrapper sees every completion."""
         from repro.patterns import benchmark_schedule
         from repro.sim.accelerator import Accelerator
 

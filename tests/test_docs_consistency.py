@@ -4,9 +4,12 @@ Documentation drift is a bug: these tests pin the claims README/DESIGN
 make about the codebase to the actual package contents.
 """
 
+import ast
 import importlib
+import inspect
 import pathlib
 import re
+import textwrap
 
 import pytest
 
@@ -145,6 +148,64 @@ class TestDottedNames:
         assert cited
         missing = [(d, n) for d, n in sorted(cited) if not _resolves(n)]
         assert not missing, missing
+
+    def test_cited_class_attributes_exist(self):
+        """Every backticked ``Class.attr`` (or ``Class.attr(...)``) in
+        docs/ and README whose class is defined under ``repro`` names a
+        real attribute: a method, a class attribute, a dataclass field
+        or an attribute some method assigns on ``self``."""
+        classes = _repro_classes()
+        docs = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
+        cited = {
+            (doc.name, match.group(1), match.group(2))
+            for doc in docs
+            for match in re.finditer(
+                r"`(\w+)\.(\w+)(?:\([^`]*\))?`", doc.read_text(encoding="utf-8")
+            )
+            if match.group(1) in classes
+        }
+        assert cited
+        missing = [
+            (d, f"{c}.{a}")
+            for d, c, a in sorted(cited)
+            if not any(_has_attribute(cls, a) for cls in classes[c])
+        ]
+        assert not missing, missing
+
+
+def _repro_classes() -> dict:
+    """Class name -> the class objects of that name defined in ``repro``."""
+    classes: dict = {}
+    src = REPO / "src"
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+        if names:
+            loaded = importlib.import_module(module)
+            for name in names:
+                classes.setdefault(name, []).append(getattr(loaded, name))
+    return classes
+
+
+def _has_attribute(cls, attr: str) -> bool:
+    if hasattr(cls, attr) or attr in getattr(cls, "__dataclass_fields__", ()):
+        return True
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith("repro"):
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr == attr
+            ):
+                return True
+    return False
 
 
 class TestVersion:

@@ -6,7 +6,9 @@ changes, and worker failures landing in the failure report without
 killing the sweep.
 """
 
+import errno
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -103,6 +105,25 @@ class TestParallelEquivalence:
             raise OSError("no processes for you")
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", broken_pool)
+        self._assert_falls_back_in_process(tmp_path, capsys)
+
+    def test_pool_failing_at_first_submit_falls_back_in_process(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """With fork the workers start inside the first ``submit()``; a
+        fork failure there (EAGAIN) must take the same thread fallback."""
+
+        class ForkFailsAtSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", ForkFailsAtSubmit
+        )
+        self._assert_falls_back_in_process(tmp_path, capsys)
+
+    @staticmethod
+    def _assert_falls_back_in_process(tmp_path, capsys):
         serial = figure3a(widths=(1, 2), scale=SCALE).render()
         clear_run_cache()
         orch = Orchestrator(jobs=2, cache=ResultCache(tmp_path / "cache"))

@@ -63,7 +63,7 @@ class TestSpanHelpers:
 
     def test_out_span_matches_line_addrs(self, tiny_graph):
         # The inlined out-span arithmetic in _start_task must agree with
-        # the memory system's line_span/line_addrs for any base/size.
+        # the memory system's line_span for any base/size.
         accel, _ = build(tiny_graph)
         memory = accel.memory
         line_bytes = accel.config.cache_line_bytes
@@ -72,7 +72,8 @@ class TestSpanHelpers:
                 first = base // line_bytes
                 last = (base + num_bytes - 1) // line_bytes
                 assert memory.line_span(base, num_bytes) == (first, last)
-                assert memory.line_addrs(base, num_bytes) == list(range(first, last + 1))
+                lines = sorted({a // line_bytes for a in range(base, base + num_bytes)})
+                assert lines == list(range(first, last + 1))
 
 
 class TestRounds:
@@ -108,6 +109,8 @@ class TestAncestorSets:
         root = SimTask(depth=0, vertex=20, embedding=(20,), parent=None, tree=1)
         root.expansion = pe.context.expand((20,))
         child = SimTask(depth=1, vertex=5, embedding=(20, 5), parent=root, tree=1)
-        sets = pe._ancestor_sets(child)
+        # The list _derive hands to expand() for every child of root.
+        sets = pe._child_sets(child.parent)
         assert sets[1] is root.expansion.candidates
         assert sets[2] is None
+        assert root.child_sets is sets  # cached for the siblings

@@ -1,6 +1,6 @@
 """Span-native memory hierarchy: equivalence with the sequence paths.
 
-The span entry points (`Cache.access_span` / `Cache.insert_span`,
+The span entry points (`Cache.insert_span`,
 `MemorySystem.fetch_intermediate_span` / `fetch_graph_spans` /
 `install_intermediate_span`) must reproduce the per-line sequence
 implementations **bit-for-bit**: identical returned times, cache
@@ -17,13 +17,12 @@ equality of span-chunked vs slice-chunked metrics).
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.graph import from_edges
 from repro.mining import count_matches
 from repro.patterns import benchmark_schedule
-from repro.sim import Cache, ReferenceCache, SimConfig, simulate
+from repro.sim import Cache, SimConfig, simulate
 from repro.sim.memory import MemorySystem, span_round_chunk, spans_round_chunk
 import repro.sim.pe as pe_module
 
@@ -63,34 +62,6 @@ def memory_state(mem):
 
 
 class TestCacheSpanKernels:
-    def test_access_span_matches_sequential_and_reference(self):
-        rng = random.Random(11)
-        spans = random_spans(rng, 300)
-        flat = Cache(16 * 1024, 4, 64)
-        seq = Cache(16 * 1024, 4, 64)
-        ref = ReferenceCache(16 * 1024, 4, 64)
-        for first, last in spans:
-            mask = flat.access_span(first, last)
-            expect = []
-            for addr in range(first, last + 1):
-                hit = seq.lookup(addr)
-                assert ref.lookup(addr) == hit
-                expect.append(hit)
-            assert mask.tolist() == expect
-            # Occasionally fill the misses so later spans mix hits in.
-            if rng.random() < 0.6:
-                for addr in range(first, last + 1):
-                    if not flat.contains(addr):
-                        flat.insert(addr)
-                    if not seq.contains(addr):
-                        seq.insert(addr)
-                    if not ref.contains(addr):
-                        ref.insert(addr)
-            assert cache_state(flat) == cache_state(seq)
-            assert (flat.hits, flat.misses, flat.evictions) == (
-                ref.hits, ref.misses, ref.evictions,
-            )
-
     def test_insert_span_matches_sequential_walk(self):
         rng = random.Random(13)
         spans = random_spans(rng, 300, max_line=600, max_width=40)
@@ -116,9 +87,8 @@ class TestCacheSpanKernels:
         stamps = [int(cache._stamps[cache._where[a]]) for a in range(10, 41)]
         assert stamps == sorted(stamps)
 
-    def test_access_span_empty(self):
+    def test_insert_span_empty(self):
         cache = Cache(16 * 1024, 4, 64)
-        assert cache.access_span(5, 4).tolist() == []
         assert cache.insert_span(5, 4) == []
         assert (cache.hits, cache.misses) == (0, 0)
 
@@ -137,8 +107,8 @@ class TestMemorySystemSpanEquivalence:
             first = rng.randrange(200)
             last = first + rng.randrange(20)
             if rng.random() < 0.5:  # warm some spans so hits dominate
-                span_mem.warm_l1_span(0, first, last)
-                seq_mem.warm_l1(0, list(range(first, last + 1)))
+                span_mem.install_intermediate_span(0, first, last)
+                seq_mem.install_intermediate(0, list(range(first, last + 1)))
             record = rng.random() < 0.8
             t_span = span_mem.fetch_intermediate_span(
                 0, first, last, now, record_window=record
@@ -198,14 +168,15 @@ class TestMemorySystemSpanEquivalence:
     def test_line_span_matches_line_addrs(self):
         mem, _ = build_pair()
         assert mem.line_span(0, 0) is None
-        assert mem.line_addrs(0, 0) == []
+        line_bytes = mem.config.cache_line_bytes
         for base in (0, 1, 63, 64, 130, 64 * 9 + 17):
             for num_bytes in (1, 4, 63, 64, 65, 640):
                 span = mem.line_span(base, num_bytes)
                 assert span is not None
-                assert mem.line_addrs(base, num_bytes) == list(
-                    range(span[0], span[1] + 1)
+                line_addrs = sorted(
+                    {a // line_bytes for a in range(base, base + num_bytes)}
                 )
+                assert line_addrs == list(range(span[0], span[1] + 1))
 
 
 class TestRoundChunkHelpers:

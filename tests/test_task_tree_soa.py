@@ -15,9 +15,11 @@ build.  Layers:
 * **Routing attribution** — the ``op_calls``/``op_escapes`` counters
   must reflect where decisions actually ran: kernels when bound,
   object path when pinned off or instrumented.
-* **Instrumented fallback** — a ``TraceRecorder`` must push every
-  decision down the object path (hooks keep firing) while changing no
-  accounted metric.
+* **Instrumented fallback** — a ``TraceRecorder`` or an
+  ``InvariantChecker`` must push every decision down the object path
+  (hooks keep firing) while changing no accounted metric; with kernels
+  on, the SoA ready/executing counters agree with the rings on every
+  read.
 * **Edge cells** — token exhaustion, pinned conservative mode, the
   macro-drain × tree-kernel composition with random escapes, and
   hypothesis-driven random tree geometries.
@@ -30,11 +32,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import task_tree
+from repro.core.policies.shogun import ShogunPolicy
 from repro.graph import load_dataset
 from repro.patterns import benchmark_schedule
 from repro.sim import SimConfig, backend, simulate
 from repro.sim.accelerator import Accelerator
 from repro.sim.trace import TraceRecorder
+from repro.validate.invariants import InvariantChecker
 from repro.validate.oracle import ORACLE_POLICIES
 
 #: The compiled backends (the tree kernels exist only in compiled form).
@@ -184,19 +188,57 @@ class TestInstrumentedFallback:
         assert _sum_counter(accel, "op_escapes", "instrumented") > 0
         assert recorder.spans  # the hooks really observed the tasks
 
-    def test_debug_cross_check_passes(
+    def test_invariant_checker_forces_object_path(self, graph, schedules):
+        """The checker wraps the PE hooks and the token pools in one
+        attach call; the PE check alone pins every decision to the
+        object path, and the books reconcile."""
+        config = CONFIG.replace(tree_kernels=True)
+        plain = simulate(graph, schedules["tc"], policy="shogun", config=config)
+        accel = Accelerator(graph, schedules["tc"], config, policy="shogun")
+        checker = InvariantChecker.attach(accel)
+        metrics = accel.run()
+        assert checker.finalize(metrics) == []
+        assert metrics.to_dict() == plain.to_dict()
+        for op in ("select", "fill", "complete"):
+            assert _sum_counter(accel, "op_calls", f"{op}_kernel") == 0
+        assert _sum_counter(accel, "op_escapes", "instrumented") > 0
+
+    def test_ready_counters_match_rings_every_read(
         self, graph, schedules, object_metrics, monkeypatch
     ):
-        """REPRO_TREE_DEBUG cross-checks SoA counters vs the object view
-        on every ready_count() read — kernels on, whole run clean."""
-        monkeypatch.setattr(task_tree, "_DEBUG_CHECK", True)
-        metrics = simulate(
+        """Kernels on, every ``ready_count()`` read — forced before and
+        after each batch selection — finds the SoA control words equal
+        to the per-bunch ring lengths and executing counts."""
+        reads = []
+        original_count = task_tree.TaskTree.ready_count
+
+        def ready_count(tree):
+            s = tree.state
+            assert s.ctl[task_tree.CTL_READY] == s.ring_len.sum()
+            assert s.ctl[task_tree.CTL_EXECUTING] == s.b_executing.sum()
+            reads.append(tree)
+            return original_count(tree)
+
+        original_select = ShogunPolicy.select_tasks
+
+        def select_tasks(policy, limit):
+            policy.ready_count()
+            tasks = original_select(policy, limit)
+            policy.ready_count()
+            return tasks
+
+        monkeypatch.setattr(task_tree.TaskTree, "ready_count", ready_count)
+        monkeypatch.setattr(ShogunPolicy, "select_tasks", select_tasks)
+        accel = Accelerator(
             graph,
             schedules["tc"],
+            CONFIG.replace(tree_kernels=True),
             policy="shogun",
-            config=CONFIG.replace(tree_kernels=True),
         )
+        metrics = accel.run()
         assert metrics.to_dict() == object_metrics["tc", "shogun"]
+        assert reads
+        assert _sum_counter(accel, "op_calls", "select_kernel") > 0
 
 
 class TestEdgeCells:
