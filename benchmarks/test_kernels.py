@@ -740,11 +740,11 @@ class TestKernelEngine:
 
 
 class TestKernelGraphLoad:
-    """Dataset staging kernels: text parse, binary store, arena attach.
+    """Dataset staging kernels: text parse and binary store.
 
-    All three compare against the path they replaced — the line-by-line
-    text parser and the synthetic generator rebuild — on the ``lj``
-    stand-in at full scale (the largest graph the orchestrator stages).
+    Both compare against the path they replaced — the line-by-line text
+    parser and the synthetic generator rebuild — on the ``lj`` stand-in
+    at full scale (the largest graph the orchestrator stages).
     """
 
     def test_edge_list_text_parse(self, tmp_path_factory):
@@ -775,7 +775,7 @@ class TestKernelGraphLoad:
         )
 
     def test_binary_store_vs_rebuild(self, tmp_path_factory):
-        from repro.graph.arena import GraphStore
+        from repro.graph.store import GraphStore
         from repro.graph.datasets import get_spec
 
         spec = get_spec("lj")
@@ -791,40 +791,6 @@ class TestKernelGraphLoad:
         _record_kernel(
             "graph_load_binary", vec, ref,
             "lj@1.0 from the content-addressed npz store vs generator rebuild",
-        )
-
-    def test_arena_attach_vs_rebuild(self):
-        from repro.graph import arena as arena_module
-        from repro.graph import datasets as datasets_module
-        from repro.graph.arena import GraphArena
-        from repro.graph.datasets import get_spec
-
-        if not GraphArena.available():
-            pytest.skip("no usable shared memory here")
-        spec = get_spec("lj")
-        graph = load_dataset("lj", scale=1.0)
-        with GraphArena() as arena:
-            handle = arena.stage("lj", 1.0, graph)
-
-            def attach_once():
-                # Attach from scratch each repeat: drop this process's
-                # segment memo, and keep the dataset memo untouched.
-                arena_module._reset_local()
-                saved = datasets_module._CACHE.pop(("lj", 1.0), None)
-                attached = arena_module.attach(handle)
-                if saved is not None:
-                    datasets_module._CACHE[("lj", 1.0)] = saved
-                return attached
-
-            attached = attach_once()
-            assert np.array_equal(attached.indptr, graph.indptr)
-            assert np.array_equal(attached.indices, graph.indices)
-            vec = _best_of(attach_once, repeats=5)
-            ref = _best_of(lambda: spec.builder(1.0), repeats=3)
-            arena_module._reset_local()
-        _record_kernel(
-            "arena_attach", vec, ref,
-            "lj@1.0 zero-copy shared-memory attach vs generator rebuild",
         )
 
 

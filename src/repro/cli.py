@@ -941,7 +941,7 @@ def cmd_shutdown(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from .graph.arena import GraphStore
+    from .graph.store import GraphStore
     from .orchestrator import ResultCache
 
     if args.cache_command == "graphs":

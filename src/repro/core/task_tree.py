@@ -874,10 +874,6 @@ class TaskTree:
     def token_stalls(self) -> int:
         return int(self.state.ctl[CTL_STALLS])
 
-    @property
-    def tasks_scheduled(self) -> int:
-        return int(self.state.ctl[CTL_SCHEDULED])
-
     def live_tree_ids(self) -> List[int]:
         """Identifiers of live (possibly quiesced) trees."""
         return sorted(self._live_trees)

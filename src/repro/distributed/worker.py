@@ -58,8 +58,8 @@ class WorkerAgent:
         path).  Ignored when ``client`` is injected (in-process tests).
     slots:
         Concurrent cells this worker runs.  ``1`` (the default) uses
-        the executor's single warm worker thread — no arena segments,
-        so even a SIGKILL leaves ``/dev/shm`` clean.
+        the executor's single warm worker thread — no child processes,
+        so even a SIGKILL leaves nothing running behind it.
     faults:
         A :class:`~repro.service.faults.FaultInjector`; defaults to an
         empty (no-op) plan.
@@ -149,9 +149,9 @@ class WorkerAgent:
                 heartbeat.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await heartbeat
-            # Drain path: release the pool and unlink arena segments
-            # *before* the connection drops, so the scheduler observing
-            # our EOF can trust /dev/shm is already clean.
+            # Drain path: release the pool *before* the connection
+            # drops, so the scheduler observing our EOF can trust no
+            # pool process of ours is still running.
             executor.close()
             self._log(f"drained after {self.completed} cell(s)")
             return {
@@ -258,7 +258,7 @@ def run_worker(
 
     SIGTERM/SIGINT cancel the protocol loop, which unwinds through the
     executor's ``finally`` close — a terminated worker never leaves
-    arena segments behind.  Faults are read from ``REPRO_FAULTS``.
+    pool processes behind.  Faults are read from ``REPRO_FAULTS``.
     """
     if log is None:
         def log(line: str) -> None:

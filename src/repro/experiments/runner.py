@@ -125,7 +125,7 @@ def reference_count(dataset: str, pattern: str, *, scale: Optional[float] = None
     key = (dataset, pattern, scale_val)
     if key in _GRAPH_COUNTS:
         return _GRAPH_COUNTS[key]
-    from ..graph.arena import default_graph_store
+    from ..graph.store import default_graph_store
 
     store = default_graph_store()
     if store is not None:

@@ -1,6 +1,5 @@
 """Graph substrate: CSR graphs, builders, synthetic datasets, statistics."""
 
-from .arena import ArenaHandle, GraphArena, GraphStore, default_graph_store
 from .builders import (
     from_adjacency,
     from_edge_array,
@@ -27,11 +26,10 @@ from .generators import (
 )
 from .io import load_edge_list, load_edge_list_reference, save_edge_list
 from .stats import GraphStats, compute_stats, degree_skewness, global_clustering, triangle_count
+from .store import GraphStore, default_graph_store
 
 __all__ = [
-    "ArenaHandle",
     "CSRGraph",
-    "GraphArena",
     "GraphStore",
     "NeighborArena",
     "DatasetSpec",

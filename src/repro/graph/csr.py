@@ -156,12 +156,6 @@ class CSRGraph:
         """Sorted neighbor array of vertex ``v`` (zero-copy view)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of CSR payload (``indptr`` + ``indices``) — the size a
-        shared-memory staging segment needs (see graph/arena.py)."""
-        return int(self.indptr.nbytes + self.indices.nbytes)
-
     def freeze(self) -> "CSRGraph":
         """Mark both CSR arrays read-only (shared graphs stay immutable)."""
         self.indptr.flags.writeable = False

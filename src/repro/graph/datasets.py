@@ -196,7 +196,7 @@ def load_dataset(code: str, *, scale: float = 1.0) -> CSRGraph:
     ``scale`` multiplies the vertex count; the same seeds are used at all
     scales, so results at a given scale are fully reproducible.  Cold
     processes consult the binary graph store first (see
-    :mod:`repro.graph.arena`), so repeated runs skip generation.
+    :mod:`repro.graph.store`), so repeated runs skip generation.
     """
     return load_dataset_with_source(code, scale=scale)[0]
 
@@ -204,10 +204,13 @@ def load_dataset(code: str, *, scale: float = 1.0) -> CSRGraph:
 def load_dataset_with_source(code: str, *, scale: float = 1.0) -> Tuple[CSRGraph, str]:
     """Like :func:`load_dataset`, also reporting how the graph arrived.
 
-    The source is ``"memo"`` (in-process cache), ``"binary-cache"`` (the
-    content-addressed :class:`~repro.graph.arena.GraphStore`) or
-    ``"rebuilt"`` (the synthetic generator ran; the result is persisted
-    to the store when one is enabled).
+    The source is ``"memo"`` (in-process cache, inherited by forked pool
+    workers), ``"binary-cache"`` (the content-addressed
+    :class:`~repro.graph.store.GraphStore`) or ``"rebuilt"`` (the
+    synthetic generator ran; the result is persisted to the store when
+    one is enabled).  Every memoized graph is frozen: its CSR arrays are
+    shared by every consumer in the process, so an in-place write
+    raises instead of corrupting later cells.
     """
     if scale <= 0:
         raise GraphError("scale must be positive")
@@ -215,16 +218,16 @@ def load_dataset_with_source(code: str, *, scale: float = 1.0) -> Tuple[CSRGraph
     if key in _CACHE:
         return _CACHE[key], "memo"
     spec = get_spec(code)  # validates the code before any store probe
-    from .arena import default_graph_store
+    from .store import default_graph_store
 
     store = default_graph_store()
     if store is not None:
         graph = store.get(code, float(scale))
         if graph is not None:
-            _CACHE[key] = graph
+            _CACHE[key] = graph.freeze()
             return graph, "binary-cache"
     graph = spec.builder(float(scale))
-    _CACHE[key] = graph
+    _CACHE[key] = graph.freeze()
     if store is not None:
         try:
             store.put(code, float(scale), graph)

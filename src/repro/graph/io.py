@@ -81,7 +81,7 @@ def load_edge_list(path: str | os.PathLike, *, name: str | None = None) -> CSRGr
     base = name if name is not None else os.path.splitext(os.path.basename(path))[0]
     with open(path, "rb") as handle:
         data = handle.read()
-    from .arena import default_graph_store, edge_list_key
+    from .store import default_graph_store, edge_list_key
 
     store = default_graph_store()
     key = edge_list_key(data, base) if store is not None else None

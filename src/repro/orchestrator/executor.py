@@ -5,13 +5,12 @@ the batch :class:`~repro.orchestrator.scheduler.Orchestrator` opens one
 per sweep, and ``repro serve`` (:mod:`repro.service`) and ``repro
 worker`` (:mod:`repro.distributed.worker`) keep one warm for their
 whole lifetime.  The executor owns the expensive state — the worker
-pool and the shared-memory graph arena — and answers individual cells
-as they arrive, concurrently:
+pool — and answers individual cells as they arrive, concurrently:
 
-* ``stage(dataset, scale)`` materializes a graph once — into the
-  process-local dataset memo and, in pool mode, a
-  :class:`~repro.graph.arena.GraphArena` segment workers attach to
-  zero-copy;
+* ``stage(dataset, scale)`` materializes a graph once into the
+  process-local dataset memo (writing the binary graph store on a
+  rebuild); a pool forked afterwards inherits the memo, and a worker
+  that meets a graph staged after it forked loads it from the store;
 * ``run_cell(spec, key)`` is an **awaitable**: it dispatches one cell
   to the warm pool (or an in-process worker thread when ``jobs=1``)
   and resolves to a ``(metrics, error, seconds, worker)`` outcome
@@ -23,9 +22,8 @@ as they arrive, concurrently:
 * a process pool that cannot start its workers — at construction or,
   under fork, inside its first ``submit()`` — is swapped for one
   in-process worker thread;
-* ``close()`` drains or cancels outstanding work and always unlinks
-  the arena's ``/dev/shm`` segments (idempotent, also a context
-  manager).
+* ``close()`` drains or cancels outstanding work and shuts the pool
+  down (idempotent, also a context manager).
 
 Every plane runs the one worker body, :func:`_execute_staged_cell`
 (around :func:`_execute_cell`), which is what keeps batch-run,
@@ -44,7 +42,6 @@ import traceback
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
-from ..graph.arena import ArenaHandle, GraphArena, arena_enabled, worker_init
 from ..sim.metrics import RunMetrics
 from .cache import ResultCache
 from .cells import CellSpec, cell_key
@@ -106,18 +103,23 @@ def _spec_payload(key: str, spec: CellSpec) -> Tuple:
             spec.config, spec.scale, spec.verify)
 
 
-def _execute_staged_cell(payload: Tuple, handle: Optional[ArenaHandle]):
-    """Worker body: resolve the staged graph, then run the cell.
+def _execute_staged_cell(payload: Tuple):
+    """Worker body: resolve the cell's graph, then run the cell.
 
-    Graph resolution is best-effort — on any failure the cell falls back
-    to its own load path and still reports a proper structured error.
+    The graph comes from
+    :func:`~repro.graph.datasets.load_dataset_with_source`: the process
+    memo (inherited on fork), then the binary store, then a rebuild.
+    Resolution is best-effort: on any failure the cell falls back to its
+    own load path and still reports a proper structured error.
     """
     code, scale = payload[1], payload[5]
     source, graph_seconds = "unresolved", 0.0
+    start = time.perf_counter()
     try:
-        from ..graph.arena import resolve_graph
+        from ..graph.datasets import load_dataset_with_source
 
-        _, source, graph_seconds = resolve_graph(code, scale, handle)
+        _, source = load_dataset_with_source(code, scale=scale)
+        graph_seconds = time.perf_counter() - start
     except Exception:  # an interrupt still unwinds the inline path
         pass
     key, metrics_dict, error, seconds = _execute_cell(payload)
@@ -148,7 +150,7 @@ def _outcome_of(result: Tuple) -> CellOutcomeTuple:
 
 
 class PersistentCellExecutor:
-    """Warm pool + staged arenas behind awaitable per-cell dispatch.
+    """Warm pool + staged graphs behind awaitable per-cell dispatch.
 
     Parameters
     ----------
@@ -180,8 +182,6 @@ class PersistentCellExecutor:
         self.timeout = timeout
         self._lock = threading.Lock()
         self._pool: "ProcessPoolExecutor | ThreadPoolExecutor | None" = None
-        self._arena: Optional[GraphArena] = None
-        self._handles: Dict[Tuple[str, float], ArenaHandle] = {}
         self._staged: Dict[Tuple[str, float], dict] = {}
         self._closed = False
         self._close_done = threading.Event()
@@ -197,8 +197,8 @@ class PersistentCellExecutor:
 
         Safe to call repeatedly and from executor threads: the first
         call builds (or binary-loads) the graph into the process-local
-        memo and — in pool mode with usable shared memory — copies it
-        into an arena segment; later calls return the memoized record.
+        memo, and a rebuild writes the binary store; later calls return
+        the memoized record.
         """
         key = (dataset, float(scale))
         with self._lock:
@@ -216,21 +216,12 @@ class PersistentCellExecutor:
                 record["source"] = source
                 record["vertices"] = graph.num_vertices
                 record["edges"] = graph.num_edges
-                if self._use_arena():
-                    if self._arena is None:
-                        self._arena = GraphArena()
-                    handle = self._arena.stage(dataset, float(scale), graph)
-                    self._handles[key] = handle
-                    record["arena"] = handle.shm_name
             except Exception as exc:
                 record["source"] = "error"
                 record["error"] = f"{type(exc).__name__}: {exc}"
             record["seconds"] = round(time.perf_counter() - start, 6)
             self._staged[key] = record
             return record
-
-    def _use_arena(self) -> bool:
-        return self.jobs > 1 and arena_enabled() and GraphArena.available()
 
     def staging(self) -> list:
         """Every staging record so far (the service's ``jobs`` view)."""
@@ -259,14 +250,8 @@ class PersistentCellExecutor:
                 # fork inherits sys.path, loaded modules and the parent's
                 # dataset memo — workers start warm.
                 context = multiprocessing.get_context("fork")
-            staged = tuple(self._handles.values())
             try:
-                return ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    mp_context=context,
-                    initializer=worker_init if staged else None,
-                    initargs=(staged,) if staged else (),
-                )
+                return ProcessPoolExecutor(max_workers=self.jobs, mp_context=context)
             except _POOL_START_ERRORS as exc:
                 return _thread_fallback(exc)
         return ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-cell")
@@ -319,14 +304,13 @@ class PersistentCellExecutor:
     def _submit(self, spec: CellSpec, key: Optional[str]):
         key = key if key is not None else cell_key(spec)
         payload = _spec_payload(key, spec)
-        handle = self._handles.get((spec.dataset, float(spec.scale)))
         pool = self._ensure_pool()
         self.executions += 1
         try:
-            return pool, pool.submit(_execute_staged_cell, payload, handle)
+            return pool, pool.submit(_execute_staged_cell, payload)
         except _POOL_START_ERRORS as exc:
             pool = self._retire_unstartable_pool(pool, exc)
-            return pool, pool.submit(_execute_staged_cell, payload, handle)
+            return pool, pool.submit(_execute_staged_cell, payload)
 
     def run_inline(
         self, spec: CellSpec, key: Optional[str] = None
@@ -338,7 +322,7 @@ class PersistentCellExecutor:
         """
         key = key if key is not None else cell_key(spec)
         self.executions += 1
-        return _outcome_of(_execute_staged_cell(_spec_payload(key, spec), None))
+        return _outcome_of(_execute_staged_cell(_spec_payload(key, spec)))
 
     async def run_cell(
         self, spec: CellSpec, key: Optional[str] = None
@@ -385,14 +369,14 @@ class PersistentCellExecutor:
         return self._closed
 
     def close(self, *, cancel: bool = True) -> None:
-        """Shut the pool down and unlink every arena segment.
+        """Shut the pool down.
 
         Idempotent *and* convergent: exactly one invocation performs
         the teardown, and every other invocation — a drain path and a
         ``finally`` block closing concurrently, a second close from
         another thread — blocks until that teardown has finished, so no
-        caller can observe a "closed" executor whose shm segments are
-        still linked.  A re-entrant call from the closing thread itself
+        caller can observe a "closed" executor whose pool is still
+        shutting down.  A re-entrant call from the closing thread itself
         (a ``finally`` on the same stack as the failing close) returns
         immediately instead of deadlocking on its own completion.
         """
@@ -406,8 +390,6 @@ class PersistentCellExecutor:
                 self._close_owner = threading.get_ident()
                 wait_for_owner = False
                 pool, self._pool = self._pool, None
-                arena, self._arena = self._arena, None
-                self._handles = {}
                 self._staged = {}
         if wait_for_owner:
             self._close_done.wait()
@@ -416,14 +398,9 @@ class PersistentCellExecutor:
             if pool is not None:
                 pool.shutdown(wait=not cancel, cancel_futures=cancel)
         finally:
-            # Segments must never outlive the executor, whatever the
-            # pool teardown did — and waiters are only released once
-            # the unlink has actually happened.
-            try:
-                if arena is not None:
-                    arena.close()
-            finally:
-                self._close_done.set()
+            # Waiters are released only once the teardown has finished,
+            # whatever it raised.
+            self._close_done.set()
 
     def __enter__(self) -> "PersistentCellExecutor":
         return self

@@ -34,9 +34,9 @@ class CellOutcome:
     attempts: int = 0
     error: Optional[Dict[str, str]] = None
     #: Execution context of the last attempt: worker ``pid``, how the
-    #: dataset was materialized (``dataset_source`` is one of ``arena`` /
-    #: ``memo`` / ``binary-cache`` / ``rebuilt``) and the graph
-    #: attach/build time in ``graph_seconds``.  None for cached cells.
+    #: dataset was materialized (``dataset_source`` is one of ``memo`` /
+    #: ``binary-cache`` / ``rebuilt``) and the graph resolve time in
+    #: ``graph_seconds``.  None for cached cells.
     worker: Optional[Dict[str, object]] = None
 
 
@@ -58,8 +58,7 @@ class RunManifest:
     experiments: List[ExperimentOutcome] = field(default_factory=list)
     wall_seconds: float = 0.0
     #: One record per distinct ``(dataset, scale)`` staged before the
-    #: waves ran: how the parent materialized it, how long that took,
-    #: and the shared-memory segment name when the arena was used.
+    #: waves ran: how the parent materialized it and how long that took.
     staging: List[Dict[str, object]] = field(default_factory=list)
     #: Distributed runs only: one record per worker that registered —
     #: name, pid, lifecycle outcome (``drained`` / ``dead``), cells
@@ -113,15 +112,11 @@ class RunManifest:
             f"{self.speedup_estimate():.1f}x",
         ]
         if self.staging:
-            staged = sum(1 for s in self.staging if "arena" in s)
             sources = ", ".join(
                 f"{s.get('dataset')}@{s.get('scale')}:{s.get('source', '?')}"
                 for s in self.staging
             )
-            lines.append(
-                f"staged {len(self.staging)} graph(s), {staged} in shared "
-                f"memory — {sources}"
-            )
+            lines.append(f"staged {len(self.staging)} graph(s) — {sources}")
         if self.workers:
             survived = sum(1 for w in self.workers if w.get("state") != "dead")
             roster = ", ".join(

@@ -60,11 +60,11 @@ class _InterruptGuard:
 
     ``kill -TERM`` would normally terminate the process between
     bytecodes, skipping every ``finally`` on the stack — including the
-    one that unlinks the graph arena's shared-memory segments.  While
+    one that closes the executor and shuts its worker pool down.  While
     the guard is active both signals raise in the main thread instead,
     so an interrupted sweep unwinds through the same cleanup path as a
-    ^C: in-flight cells are abandoned, queued ones cancelled, and
-    ``/dev/shm`` left clean.  Off the main thread (the ``repro serve``
+    ^C: in-flight cells are abandoned, queued ones cancelled, and every
+    abandoned cell recorded in the manifest.  Off the main thread (the ``repro serve``
     daemon runs sweeps from worker tasks) it is a no-op — the daemon's
     event loop owns signal disposition there.
     """
@@ -335,10 +335,10 @@ class Orchestrator:
                 )
 
         try:
-            # Stage each distinct graph once, here: inline cells and
-            # forked workers inherit the dataset memo, and pool workers
-            # attach the executor's shared-memory arena.  Best-effort: a
-            # graph that fails to build is left for its cells to report.
+            # Stage each distinct graph once, here, before the pool
+            # forks: inline cells and forked workers then find it in the
+            # dataset memo.  Best-effort: a graph that fails to build is
+            # left for its cells to report.
             for code, scale in dict.fromkeys(map(graph_key, pending.values())):
                 staged = dict(executor.stage(code, scale))
                 manifest.staging.append(staged)

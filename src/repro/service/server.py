@@ -2,7 +2,7 @@
 
 One long-lived asyncio process stands the expensive state up once — a
 :class:`~repro.orchestrator.executor.PersistentCellExecutor` holding a
-warm worker pool and shared-memory graph arenas — and then answers
+warm worker pool and the staged graphs it forks with — and then answers
 experiment cells over any number of transports.  The request path:
 
 1. **read-through** — a submitted cell whose key is already in the
@@ -21,7 +21,7 @@ A failing cell produces a structured ``failed`` event and leaves the
 pool warm; a worker that dies hard is replaced behind the executor.
 Graceful shutdown (client ``shutdown`` op or SIGINT/SIGTERM via the
 CLI) drains or cancels in-flight jobs, then closes the executor, which
-always unlinks its ``/dev/shm`` segments.
+shuts its worker pool down.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class ReproService:
 
     async def shutdown(self, drain: bool = True) -> None:
         """Stop serving: cancel the queue, drain or cancel running cells,
-        close the executor (unlinking shm), then the listeners."""
+        close the executor (shutting its pool down), then the listeners."""
         if self._stopping:
             await self._stopped.wait()
             return
@@ -149,7 +149,7 @@ class ReproService:
         self._workers = []
 
         # Executor close cancels anything still running (non-drain path)
-        # and always unlinks the arena segments.
+        # and shuts the worker pool down.
         self.executor.close(cancel=not drain)
 
         for listener in self._listeners:

@@ -16,6 +16,8 @@ the same double expressions in the same order as :mod:`.pure`).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ...mining.setops import EMPTY
@@ -88,21 +90,25 @@ def make_kernel_set(lib) -> KernelSet:
     # Reusable result buffers: the loop kernels write into these and the
     # adapters copy the live prefix out, so per-call output allocation —
     # and per-call marshalling of the output pointer (the adapter caches
-    # pointers by object identity) — stays off the hot path.  Kernel
-    # calls never reenter Python, so reuse is safe in the
-    # single-threaded simulator.  A result can be at most as long as the
-    # smallest operand, so sizing to that operand always suffices.
-    buffers = {
-        "out": empty(256, dtype=np.int64),
-        "scratch": empty(256, dtype=np.int64),
-    }
+    # pointers by object identity) — stays off the hot path.  The
+    # buffers are per thread: the C call releases the GIL, and two
+    # threads running cells in one process (in-process workers, the
+    # daemon's worker threads) must not write into one buffer.  A result
+    # can be at most as long as the smallest operand, so sizing to that
+    # operand always suffices.
+    class _Buffers(threading.local):
+        def __init__(self):
+            self.out = empty(256, dtype=np.int64)
+            self.scratch = empty(256, dtype=np.int64)
+
+    buffers = _Buffers()
 
     def _out_buffer(n):
-        out = buffers["out"]
+        out = buffers.out
         if n > out.shape[0]:
             size = max(n, out.shape[0] * 2)
-            out = buffers["out"] = empty(size, dtype=np.int64)
-            buffers["scratch"] = empty(size, dtype=np.int64)
+            out = buffers.out = empty(size, dtype=np.int64)
+            buffers.scratch = empty(size, dtype=np.int64)
         return out
 
     def intersect(a, b):
@@ -128,7 +134,7 @@ def make_kernel_set(lib) -> KernelSet:
     def intersect_multi(arrays):
         operands = [_norm(a) for a in arrays]
         out = _out_buffer(operands[0].shape[0])
-        k = lib_multi(operands, out, buffers["scratch"])
+        k = lib_multi(operands, out, buffers.scratch)
         if k == 0:
             return EMPTY
         return out[:k].copy()

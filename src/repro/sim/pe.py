@@ -218,14 +218,6 @@ class PE:
         """This PE's per-depth task counts (a live row of the vector)."""
         return self._state.depth_executed[self._row]
 
-    @property
-    def _busy_slot_cycles(self) -> float:
-        return float(self._state.busy_slot_cycles[self._row])
-
-    @property
-    def _idle_with_work_cycles(self) -> float:
-        return float(self._state.idle_with_work_cycles[self._row])
-
     # ------------------------------------------------------------------
     # accounting helpers
     # ------------------------------------------------------------------

@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.graph import CSRGraph, erdos_renyi_gnm, from_edges, powerlaw_configuration
 from repro.patterns import benchmark_schedule
 from repro.sim import SimConfig
+
+
+def live_segment_names() -> "set[str]":
+    """Names of every live ``repro-arena-*`` shared-memory segment.
+
+    No sweep, daemon, worker death or chaos scenario may leave one
+    behind: the suites assert against this helper, which mirrors the CI
+    jobs' ``ls /dev/shm/repro-arena-*`` check.
+    """
+    try:
+        return {
+            name for name in os.listdir("/dev/shm")
+            if name.startswith("repro-arena-")
+        }
+    except OSError:  # no /dev/shm on this platform
+        return set()
 
 
 @pytest.fixture(scope="session")

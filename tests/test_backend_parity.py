@@ -15,6 +15,9 @@ Three layers, mirroring how the backends are built:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,40 @@ class TestKernelParity:
             assert mine.value == ref.value
             assert mine.total_latency == ref.total_latency
             assert mine.samples == ref.samples
+
+    @pytest.mark.parametrize("name", AVAILABLE)
+    def test_setops_from_concurrent_threads(self, name):
+        """Threads running set operations at once (in-process workers,
+        daemon worker threads) each get their own results."""
+        kernels = backend.activate(name)
+        cases = _operand_cases(seed=5, count=40)
+        expected = [
+            (pure_backend.intersect(a, b), pure_backend.subtract(a, b))
+            for a, b in cases
+        ]
+        mismatches = []
+
+        def work():
+            for _ in range(10):
+                for (a, b), (inter, diff) in zip(cases, expected):
+                    if not (
+                        np.array_equal(kernels.intersect(a, b), inter)
+                        and np.array_equal(kernels.subtract(a, b), diff)
+                    ):
+                        mismatches.append((len(a), len(b)))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
 
 
 class TestSimulationParity:

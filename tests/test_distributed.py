@@ -32,7 +32,6 @@ from repro.distributed import (
 )
 from repro.experiments import clear_run_cache, eval_config, figure3a
 from repro.experiments.runner import simulate_cell
-from repro.graph.arena import live_segment_names
 from repro.orchestrator import CellSpec, Orchestrator, ResultCache, cell_key
 from repro.orchestrator.executor import PersistentCellExecutor
 from repro.service import (
@@ -43,6 +42,7 @@ from repro.service import (
     FaultyConnection,
     InProcListener,
 )
+from tests.conftest import live_segment_names
 
 SCALE = 0.05
 OVERRIDES = {"figure3a": {"widths": (1, 2)}}  # 4 cells, fast

@@ -1,16 +1,18 @@
-"""Tests for dataset staging: binary graph store + shared-memory arena.
+"""Tests for dataset staging: the process memo and the binary graph store.
 
-Covers the acceptance criteria of the staging work: store round-trips
-are bit-identical, content keys react to the source salt, arena
-attachment yields the same CSR arrays and byte-identical RunMetrics,
-the full golden grid matches through the jobs=2 arena path, and no
-``/dev/shm`` segment survives the scheduler — on success or when a
-worker dies mid-cell.
+Store round-trips are bit-identical, content keys react to the source
+salt, malformed entries are misses, memoized graphs are read-only and
+store-loaded graphs give byte-identical RunMetrics.  Through the
+orchestrator, the full golden grid matches on the jobs=2 pool with every
+worker resolving its graph from the fork-inherited memo; a graph staged
+after a warm pool forked reaches its workers through the store (or a
+rebuild); and no ``/dev/shm`` segment survives the scheduler — on
+success or when a worker dies mid-cell.
 """
 
 from __future__ import annotations
 
-import glob
+import asyncio
 import os
 import time
 
@@ -19,38 +21,27 @@ import pytest
 
 from repro.experiments import clear_run_cache, eval_config
 from repro.experiments.runner import simulate_cell
-from repro.graph import arena as arena_module
 from repro.graph import datasets
-from repro.graph.arena import (
-    ArenaHandle,
-    GraphArena,
+from repro.graph.datasets import load_dataset, load_dataset_with_source
+from repro.graph.store import (
     GraphStore,
-    arena_enabled,
     count_salt,
     dataset_graph_key,
     graph_salt,
-    resolve_graph,
     store_enabled,
 )
-from repro.graph.datasets import load_dataset, load_dataset_with_source
 from repro.orchestrator import CellSpec, Orchestrator, RunManifest, cell_key
 from repro.orchestrator import executor as executor_module
+from repro.orchestrator.executor import PersistentCellExecutor
 from repro.validate.golden import (
     diff_values,
     golden_matrix,
     load_snapshot,
     snapshot_path,
 )
+from tests.conftest import live_segment_names
 
 SCALE = 0.12
-
-needs_shm = pytest.mark.skipif(
-    not GraphArena.available(), reason="no usable shared memory here"
-)
-
-
-def _leaked_segments():
-    return glob.glob("/dev/shm/repro-arena-*")
 
 
 @pytest.fixture(autouse=True)
@@ -59,11 +50,9 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     clear_run_cache()
     datasets.clear_cache()
-    arena_module._reset_local()
     yield
     clear_run_cache()
     datasets.clear_cache()
-    arena_module._reset_local()
 
 
 class TestGraphStore:
@@ -147,55 +136,49 @@ class TestGraphStore:
         _, source = load_dataset_with_source("wi", scale=SCALE)
         assert source == "rebuilt"  # nothing was stored
 
-
-@needs_shm
-class TestGraphArena:
-    def test_stage_attach_identical_csr(self):
+    @pytest.mark.parametrize("defect", ["tail", "decreasing", "out_of_range"])
+    def test_malformed_entry_is_a_miss(self, defect):
         graph = load_dataset("wi", scale=SCALE)
-        with GraphArena() as arena:
-            handle = arena.stage("wi", SCALE, graph)
-            assert arena.stage("wi", SCALE, graph) is handle  # idempotent
-            arena_module._reset_local()
-            datasets.clear_cache()
-            attached, source, _ = resolve_graph("wi", SCALE, handle)
-            assert source == "arena"
-            assert np.array_equal(attached.indptr, graph.indptr)
-            assert np.array_equal(attached.indices, graph.indices)
-            assert not attached.indptr.flags.writeable
-            assert not attached.indices.flags.writeable
-            # load_dataset now resolves to the attached graph.
-            assert load_dataset("wi", scale=SCALE) is attached
-            arena_module._reset_local()
-        assert not _leaked_segments()
+        indptr, indices = graph.indptr.copy(), graph.indices.copy()
+        if defect == "tail":  # indptr[-1] != len(indices)
+            indices = indices[:-1]
+        elif defect == "decreasing":
+            indptr[1], indptr[2] = indptr[2], indptr[1] - 1
+        else:
+            indices[0] = graph.num_vertices
+        store = GraphStore()
+        path = store.path_for(dataset_graph_key("wi", SCALE))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as handle:
+            np.savez(handle, indptr=indptr, indices=indices)
+        assert store.get("wi", SCALE) is None
+        assert not path.exists()  # malformed file removed
+        datasets.clear_cache()
+        _, source = load_dataset_with_source("wi", scale=SCALE)
+        assert source == "rebuilt"
 
-    def test_close_is_idempotent_and_cleans_segments(self):
-        arena = GraphArena()
-        arena.stage("wi", SCALE, load_dataset("wi", scale=SCALE))
-        assert _leaked_segments()
-        arena.close()
-        arena.close()
-        assert not _leaked_segments()
-        with pytest.raises(RuntimeError):
-            arena.stage("wi", SCALE, load_dataset("wi", scale=SCALE))
+    def test_memo_and_store_graphs_are_frozen(self):
+        rebuilt, source = load_dataset_with_source("wi", scale=SCALE)
+        assert source == "rebuilt"
+        datasets.clear_cache()
+        loaded, source = load_dataset_with_source("wi", scale=SCALE)
+        assert source == "binary-cache"
+        assert np.array_equal(loaded.indptr, rebuilt.indptr)
+        assert np.array_equal(loaded.indices, rebuilt.indices)
+        for graph in (rebuilt, loaded):
+            assert not graph.indptr.flags.writeable
+            assert not graph.indices.flags.writeable
+        # load_dataset now resolves to the store-loaded graph.
+        assert load_dataset("wi", scale=SCALE) is loaded
 
-    def test_arena_metrics_bit_identical(self):
+    def test_store_metrics_bit_identical(self):
         direct = simulate_cell("wi", "tc", "shogun", scale=SCALE)
-        graph = load_dataset("wi", scale=SCALE)
-        with GraphArena() as arena:
-            handle = arena.stage("wi", SCALE, graph)
-            clear_run_cache()
-            datasets.clear_cache()
-            arena_module._reset_local()
-            _, source, _ = resolve_graph("wi", SCALE, handle)
-            assert source == "arena"
-            staged = simulate_cell("wi", "tc", "shogun", scale=SCALE)
-            arena_module._reset_local()
+        clear_run_cache()
+        datasets.clear_cache()
+        _, source = load_dataset_with_source("wi", scale=SCALE)
+        assert source == "binary-cache"
+        staged = simulate_cell("wi", "tc", "shogun", scale=SCALE)
         assert staged.to_dict() == direct.to_dict()
-
-    def test_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARENA", "0")
-        assert not arena_enabled()
-        assert not GraphArena.available()
 
 
 class TestOrchestratorStaging:
@@ -215,9 +198,8 @@ class TestOrchestratorStaging:
         assert outcome.worker["pid"] == os.getpid()
         assert "staged 1 graph(s)" in manifest.render()
 
-    @needs_shm
-    def test_golden_grid_through_arena(self):
-        """The committed golden matrix, byte-identical via jobs=2 + arena."""
+    def test_golden_grid_through_pool(self):
+        """The committed golden matrix, byte-identical via the jobs=2 pool."""
         config = eval_config()
         specs = {}
         for dataset, pattern, policy, scale in golden_matrix():
@@ -226,20 +208,20 @@ class TestOrchestratorStaging:
         manifest = RunManifest(jobs=2)
         results, failures = Orchestrator(jobs=2).run_cells(specs, manifest)
         assert not failures
-        assert any("arena" in record for record in manifest.staging)
+        # Every graph was staged before the pool forked, so every worker
+        # finds it in the inherited memo.
         sources = {
             outcome.worker["dataset_source"] for outcome in manifest.cells
         }
-        assert "arena" in sources
+        assert sources == {"memo"}
         for dataset, pattern, policy, scale in golden_matrix():
             spec = CellSpec(dataset, pattern, policy, scale, config, True)
             snapshot = load_snapshot(snapshot_path(dataset, pattern, policy, scale))
             metrics = results[cell_key(spec)]
             diffs = diff_values(snapshot["metrics"], metrics.to_dict())
             assert not diffs, f"{spec.label()}: {diffs[:5]}"
-        assert not _leaked_segments()
+        assert not live_segment_names()
 
-    @needs_shm
     def test_broken_pool_leaves_no_segments(self, monkeypatch):
         monkeypatch.setattr(
             executor_module, "_execute_staged_cell", _exit_cell
@@ -254,9 +236,8 @@ class TestOrchestratorStaging:
         results, failures = orch.run_cells(specs, manifest)
         assert len(failures) == 2
         assert manifest.failed == 2
-        assert not _leaked_segments()
+        assert not live_segment_names()
 
-    @needs_shm
     def test_timed_out_cell_fails_alone(self, monkeypatch):
         monkeypatch.setattr(
             executor_module, "_execute_staged_cell", _hang_on_tc
@@ -274,18 +255,48 @@ class TestOrchestratorStaging:
         assert error["type"] == "TimeoutError"
         assert set(results) == set(specs) - {failed_key}
         assert manifest.computed == 3 and manifest.failed == 1
-        assert not _leaked_segments()
+        assert not live_segment_names()
+
+    @pytest.mark.parametrize(
+        "store, expected", [("1", "binary-cache"), ("0", "rebuilt")]
+    )
+    def test_graph_staged_after_fork(self, monkeypatch, store, expected):
+        """A warm pool meets a graph staged after it forked: its worker
+        loads it from the store (or rebuilds it), with the same metrics
+        as the inline run."""
+        monkeypatch.setenv("REPRO_GRAPH_STORE", store)
+        config = eval_config()
+        warm = CellSpec("wi", "tc", "shogun", SCALE, config, True)
+        late = CellSpec("as", "tc", "shogun", SCALE, config, True)
+
+        async def main():
+            with PersistentCellExecutor(jobs=2) as executor:
+                executor.stage(warm.dataset, warm.scale)
+                first = await executor.run_cell(warm)  # forks the pool
+                executor.stage(late.dataset, late.scale)
+                pooled = await executor.run_cell(late)
+                inline = executor.run_inline(late)
+            return first, pooled, inline
+
+        first, pooled, inline = asyncio.run(main())
+        assert first[3]["dataset_source"] == "memo"
+        metrics, error, _, worker = pooled
+        assert error is None
+        assert worker["pid"] != os.getpid()
+        assert worker["dataset_source"] == expected
+        assert inline[3]["dataset_source"] == "memo"
+        assert metrics.to_dict() == inline[0].to_dict()
 
 
 _REAL_BODY = executor_module._execute_staged_cell
 _HANG_TIMEOUT = 5.0
 
 
-def _exit_cell(payload, handle):  # pool target for the broken-pool test
+def _exit_cell(payload):  # pool target for the broken-pool test
     os._exit(9)
 
 
-def _hang_on_tc(payload, handle):  # pool target for the timeout test
+def _hang_on_tc(payload):  # pool target for the timeout test
     if payload[2] == "tc":
         time.sleep(2 * _HANG_TIMEOUT)
-    return _REAL_BODY(payload, handle)
+    return _REAL_BODY(payload)

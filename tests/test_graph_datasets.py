@@ -47,6 +47,13 @@ class TestLoading:
         b = load_dataset("as", scale=0.2)
         assert a is not b
 
+    def test_memoized_graph_is_read_only(self):
+        graph = load_dataset("wi", scale=0.3)
+        with pytest.raises(ValueError):
+            graph.indices[0] = graph.indices[0]
+        with pytest.raises(ValueError):
+            graph.indptr[-1] += 1
+
     def test_names_match_codes(self):
         for code in dataset_codes():
             assert load_dataset(code, scale=0.2).name == code

@@ -228,7 +228,7 @@ class TestFailureHandling:
         [failed] = manifest.failures()
         assert isinstance(failed.worker["pid"], int)
         assert failed.worker["dataset_source"] in (
-            "arena", "memo", "binary-cache", "rebuilt"
+            "memo", "binary-cache", "rebuilt"
         )
         assert failed.worker["graph_seconds"] >= 0
         rendered = manifest.render()

@@ -41,6 +41,7 @@ from repro.service import (
     serve_inproc,
 )
 from repro.service.transports import UnixListener, parse_address
+from tests.conftest import live_segment_names
 
 SCALE = 0.05
 CELL = {"dataset": "wi", "pattern": "tc", "policy": "shogun",
@@ -291,13 +292,6 @@ class TestServiceRoundtrip:
 # shutdown hygiene
 # ----------------------------------------------------------------------
 
-def _repro_shm_segments():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("repro-arena-")}
-    except FileNotFoundError:  # no /dev/shm on this platform
-        return set()
-
-
 class TestShutdown:
     def test_client_shutdown_op_stops_daemon(self):
         async def main():
@@ -317,7 +311,7 @@ class TestShutdown:
         not os.path.isdir("/dev/shm"), reason="needs /dev/shm"
     )
     def test_pool_daemon_leaves_no_shm_segments(self):
-        before = _repro_shm_segments()
+        before = live_segment_names()
 
         async def main():
             async with serve_inproc(jobs=2, cache=None) as (service, listener):
@@ -328,7 +322,7 @@ class TestShutdown:
 
         final = run(main())
         assert final["event"] == "done"
-        assert _repro_shm_segments() <= before  # nothing leaked
+        assert live_segment_names() <= before  # nothing leaked
 
     def test_unix_socket_end_to_end(self, tmp_path):
         path = tmp_path / "svc.sock"
@@ -439,14 +433,14 @@ for pattern in ("tc", "4cl", "tt_e"):
 
 real = executor._execute_staged_cell
 
-def hooked(payload, handle):
+def hooked(payload):
     # The tc cell signals the sweep: its own process when inline, the
     # parent from a pool worker.  The others wait, so none resolves first.
     if payload[2] == "tc":
         os.kill(os.getpid() if JOBS == 1 else os.getppid(), signal.SIGTERM)
     else:
         time.sleep(1.0)
-    return real(payload, handle)
+    return real(payload)
 
 executor._execute_staged_cell = hooked
 manifest = RunManifest(jobs=JOBS)
